@@ -319,6 +319,12 @@ pub trait MemoryBackend: Send + fmt::Debug + 'static {
 
     /// Processes exactly the events at instant `t` (the PDES-friendly
     /// single-instant form; `t` must be `>=` [`now`](MemoryBackend::now)).
+    ///
+    /// A chain shard calls this only at instants where
+    /// [`next_time`](MemoryBackend::next_time) is `t` (or the sanitizer is
+    /// armed), so between calls [`now`](MemoryBackend::now) may lag the
+    /// shard's clock. Implementations must therefore take time from their
+    /// arguments (`submit`'s `now`, this `t`), never from their own clock.
     fn advance_instant(&mut self, t: Time, out: &mut Vec<BackendOutput>);
 
     /// Total internal events processed (simulation-throughput metric).

@@ -29,25 +29,23 @@
 //!   host robustness layer on and the sanitizer armed, and print the
 //!   degraded-mode characterization (nonzero exit on violations or a
 //!   run that failed to drain).
-//! * `openloop [policy|all] [--poisson] [--quick] [--cubes N] [--shards N]
+//! * `openloop [policy|all] [--poisson] [--quick] [--cubes N]
 //!   [--faults scenario]` — open-loop multi-tenant overload sweep:
 //!   throughput-latency curves over the saturation-fraction grid plus
 //!   per-tenant SLO conformance, MMPP arrivals by default, sanitizer and
 //!   shed-accounting invariant armed (nonzero exit on violations or a
 //!   failed drain). `--faults` composes one 1.5x-saturation point with a
 //!   built-in fault scenario and the host robustness layer.
-//! * `chain [--cubes N] [--star] [--interleave cube|vault] [--shards N]`
-//!   — multi-cube chain characterization: aggregate bandwidth vs chain
-//!   length, the per-hop latency ladder, and near/far asymmetry, with
-//!   the shape checks asserted (two cubes >= 1.8x one cube; ladder rungs
-//!   on the modeled pass-through adder). `--shards N` pumps the cubes on
-//!   `N` conservative-PDES worker threads — bit-identical results,
-//!   different wall clock. Observability add-ons:
+//! * `chain [--cubes N] [--star] [--interleave cube|vault]` — multi-cube
+//!   chain characterization: aggregate bandwidth vs chain length, the
+//!   per-hop latency ladder, and near/far asymmetry, with the shape
+//!   checks asserted (two cubes >= 1.8x one cube; ladder rungs on the
+//!   modeled pass-through adder). Observability add-ons:
 //!   * `--breakdown` — run a traced stream and print the chain-wide
 //!     latency attribution (includes the `hop_link` stage; telescopes
 //!     with zero residue).
 //!   * `--trace-json PATH` — Perfetto export of the traced run with one
-//!     epoch track per PDES shard.
+//!     epoch track per cube shard.
 //!   * `--metrics-json PATH` — the merged cube-prefixed gauge stream.
 //!   * `--profile-json PATH` — the deterministic epoch profile.
 //!   * `--dashboard` / `--dashboard-headless` — stream gauge frames
@@ -228,22 +226,14 @@ fn run(target: &str, cfg: &SystemConfig, opts: Opts) {
     }
 }
 
-/// Measures the conservative-PDES chain scheduler's throughput at one
-/// `(cubes, workers)` point: a saturated full-scale read run over `span`,
-/// returning `(events, wall_sec)`. With `armed` the full observability
+/// Measures the conservative chain scheduler's throughput at one cube
+/// count: a saturated full-scale read run over `span`, returning
+/// `(events, wall_sec)`. With `armed` the full observability
 /// surface rides along (tracer, per-cube gauges, epoch profiler) so the
 /// armed-vs-unarmed delta is the overhead of watching.
-fn chain_perf_point(
-    cfg: &SystemConfig,
-    cubes: u8,
-    shards: usize,
-    span: TimeDelta,
-    armed: bool,
-) -> (u64, f64) {
+fn chain_perf_point(cfg: &SystemConfig, cubes: u8, span: TimeDelta, armed: bool) -> (u64, f64) {
     use std::time::Instant;
-    let mut b = SystemBuilder::new(cfg.clone())
-        .parallel_shards(shards)
-        .topology(Topology::chain(cubes));
+    let mut b = SystemBuilder::new(cfg.clone()).topology(Topology::chain(cubes));
     if armed {
         b = b
             .tracing(64)
@@ -267,12 +257,11 @@ fn chain_perf_point(
 ///   wall-second and simulated µs per wall-second of the event core;
 /// * `sweep`: the Figure 7 sweep at the configured thread count —
 ///   simulated µs per wall-second across the whole fleet of points;
-/// * `parallel_chain`: the epoch scheduler's events per wall-second over
-///   the cubes x epoch-worker grid {1,2,4,8} x {1,2,4,8} (every cell is
-///   bit-identical in results; only the wall clock moves);
-/// * `observability`: armed-vs-unarmed throughput on a {2,4,8} x {1,4}
-///   chain grid — the wall-clock cost of tracer + per-cube gauges +
-///   epoch profiler (the event counts are asserted identical).
+/// * `parallel_chain`: the epoch scheduler's events per wall-second at
+///   1, 2, 4 and 8 cubes;
+/// * `observability`: armed-vs-unarmed throughput at 2, 4 and 8 cubes —
+///   the wall-clock cost of tracer + per-cube gauges + epoch profiler
+///   (the event counts are asserted identical).
 fn perf_json(cfg: &SystemConfig) {
     use std::time::Instant;
 
@@ -297,24 +286,20 @@ fn perf_json(cfg: &SystemConfig) {
     let sim_us_per_point = (mc.warmup + mc.window).as_ns_f64() / 1e3;
     let sweep_sim_us = pts.len() as f64 * sim_us_per_point;
 
-    // The conservative-PDES chain grid. Single-core hosts show flat (or
-    // slightly negative) scaling here — the numbers record what this
-    // machine actually did, not an aspiration.
+    // The conservative chain scheduler at each cube count.
     let chain_span = TimeDelta::from_us(100);
     let mut chain_cells = String::new();
     for cubes in [1u8, 2, 4, 8] {
-        for shards in [1usize, 2, 4, 8] {
-            let (ev, wall) = chain_perf_point(cfg, cubes, shards, chain_span, false);
-            if !chain_cells.is_empty() {
-                chain_cells.push_str(",\n");
-            }
-            chain_cells.push_str(&format!(
-                "      {{\"cubes\": {cubes}, \"shards\": {shards}, \
-                 \"events\": {ev}, \"wall_sec\": {wall:.3}, \
-                 \"events_per_sec\": {:.0}}}",
-                ev as f64 / wall
-            ));
+        let (ev, wall) = chain_perf_point(cfg, cubes, chain_span, false);
+        if !chain_cells.is_empty() {
+            chain_cells.push_str(",\n");
         }
+        chain_cells.push_str(&format!(
+            "      {{\"cubes\": {cubes}, \
+             \"events\": {ev}, \"wall_sec\": {wall:.3}, \
+             \"events_per_sec\": {:.0}}}",
+            ev as f64 / wall
+        ));
     }
 
     // Observability overhead: the same chain grid (smaller, to keep the
@@ -323,27 +308,25 @@ fn perf_json(cfg: &SystemConfig) {
     // the wall clock moves.
     let mut obs_cells = String::new();
     for cubes in [2u8, 4, 8] {
-        for shards in [1usize, 4] {
-            let (ev_bare, wall_bare) = chain_perf_point(cfg, cubes, shards, chain_span, false);
-            let (ev_armed, wall_armed) = chain_perf_point(cfg, cubes, shards, chain_span, true);
-            assert_eq!(
-                ev_bare, ev_armed,
-                "armed observability must not change the event count"
-            );
-            if !obs_cells.is_empty() {
-                obs_cells.push_str(",\n");
-            }
-            obs_cells.push_str(&format!(
-                "      {{\"cubes\": {cubes}, \"shards\": {shards}, \
-                 \"events\": {ev_bare}, \
-                 \"unarmed_events_per_sec\": {:.0}, \
-                 \"armed_events_per_sec\": {:.0}, \
-                 \"overhead_pct\": {:.1}}}",
-                ev_bare as f64 / wall_bare,
-                ev_armed as f64 / wall_armed,
-                (wall_armed / wall_bare - 1.0) * 100.0
-            ));
+        let (ev_bare, wall_bare) = chain_perf_point(cfg, cubes, chain_span, false);
+        let (ev_armed, wall_armed) = chain_perf_point(cfg, cubes, chain_span, true);
+        assert_eq!(
+            ev_bare, ev_armed,
+            "armed observability must not change the event count"
+        );
+        if !obs_cells.is_empty() {
+            obs_cells.push_str(",\n");
         }
+        obs_cells.push_str(&format!(
+            "      {{\"cubes\": {cubes}, \
+             \"events\": {ev_bare}, \
+             \"unarmed_events_per_sec\": {:.0}, \
+             \"armed_events_per_sec\": {:.0}, \
+             \"overhead_pct\": {:.1}}}",
+            ev_bare as f64 / wall_bare,
+            ev_armed as f64 / wall_armed,
+            (wall_armed / wall_bare - 1.0) * 100.0
+        ));
     }
 
     // Open-loop overload grid: offered load vs goodput across the
@@ -697,7 +680,6 @@ fn run_openloop(cfg: &SystemConfig, args: &[String], json_out: Option<&str>) -> 
     let mut policies: Vec<ShedPolicy> = ShedPolicy::ALL.to_vec();
     let mut kind = openloop::bursty();
     let mut cubes = 1u8;
-    let mut shards = 1usize;
     let mut scenario: Option<FaultScenario> = None;
     let mut mc = bench_mc();
     let mut it = args.iter();
@@ -707,12 +689,6 @@ fn run_openloop(cfg: &SystemConfig, args: &[String], json_out: Option<&str>) -> 
             "--quick" => mc = hmc_core::measure::MeasureConfig::quick(),
             "--cubes" => {
                 cubes = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--shards" => {
-                shards = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage());
@@ -749,7 +725,6 @@ fn run_openloop(cfg: &SystemConfig, args: &[String], json_out: Option<&str>) -> 
             let run = openloop::OpenLoopRun {
                 kind,
                 cubes,
-                workers: shards,
                 ..openloop::OpenLoopRun::standard(policy)
             };
             let o = openloop::run_openloop_scenario(cfg, &run, &scenario, 1.5, &mc);
@@ -782,7 +757,6 @@ fn run_openloop(cfg: &SystemConfig, args: &[String], json_out: Option<&str>) -> 
         let run = openloop::OpenLoopRun {
             kind,
             cubes,
-            workers: shards,
             ..openloop::OpenLoopRun::standard(policy)
         };
         let o = openloop::run_openloop(cfg, &run, &mc);
@@ -808,7 +782,6 @@ fn run_chain(
     cubes: u8,
     star: bool,
     interleave: CubeInterleave,
-    shards: usize,
     json_out: Option<&str>,
 ) {
     let topo = if star {
@@ -818,7 +791,7 @@ fn run_chain(
     }
     .with_interleave(interleave);
     let mc = bench_mc();
-    let report = chain::characterize_sharded(cfg, topo, &mc, shards);
+    let report = chain::characterize(cfg, topo, &mc);
     println!("{}", report.scaling_table());
     println!("{}", report.ladder_table());
     println!("{}", report.near_far_table());
@@ -836,9 +809,9 @@ fn usage() -> ! {
          \x20 compare [--quick]\n\
          \x20 sanitize\n\
          \x20 faults [scenario|all]\n\
-         \x20 openloop [policy|all] [--poisson] [--quick] [--cubes N] [--shards N]\n\
+         \x20 openloop [policy|all] [--poisson] [--quick] [--cubes N]\n\
          \x20          [--faults scenario]\n\
-         \x20 chain [--cubes N] [--star] [--interleave cube|vault] [--shards N]\n\
+         \x20 chain [--cubes N] [--star] [--interleave cube|vault]\n\
          \x20       [--breakdown] [--trace-json P] [--metrics-json P] [--profile-json P]\n\
          \x20       [--dashboard | --dashboard-headless] [--frames N] [--frame-us N]\n\
          \x20       [--span-us N] [--refresh-ms N]"
@@ -979,13 +952,7 @@ struct ChainObs {
 
 /// Runs the chain observability captures requested alongside (or instead
 /// of) the characterization tables.
-fn run_chain_obs(
-    cfg: &SystemConfig,
-    topo: Topology,
-    shards: usize,
-    o: &ChainObs,
-    json: Option<&str>,
-) {
+fn run_chain_obs(cfg: &SystemConfig, topo: Topology, o: &ChainObs, json: Option<&str>) {
     use hmc_bench::dashboard::{run_dashboard, DashboardMode, DashboardRun};
     use hmc_core::observe::run_chain_observed;
 
@@ -999,7 +966,6 @@ fn run_chain_obs(
             None,
             8,
             Some(TimeDelta::from_us(1)),
-            shards,
         );
         if o.breakdown {
             println!(
@@ -1036,7 +1002,6 @@ fn run_chain_obs(
             cfg,
             topo,
             &workload,
-            shards,
             DashboardRun {
                 total: TimeDelta::from_us(o.span_us),
                 frame_span: TimeDelta::from_us(o.frame_us),
@@ -1065,7 +1030,6 @@ fn cmd_chain(cfg: &SystemConfig, args: &[String]) {
     let mut cubes: u8 = 2;
     let mut star = false;
     let mut interleave = CubeInterleave::CubeFirst;
-    let mut shards: usize = 1;
     let mut obs = ChainObs {
         frames: 64,
         frame_us: 5,
@@ -1082,7 +1046,6 @@ fn cmd_chain(cfg: &SystemConfig, args: &[String]) {
         };
         match arg.as_str() {
             "--cubes" => cubes = u8::try_from(num(&mut it)).unwrap_or_else(|_| usage()),
-            "--shards" => shards = num(&mut it) as usize,
             "--star" => star = true,
             "--interleave" => {
                 interleave = match it.next().map(String::as_str) {
@@ -1125,9 +1088,9 @@ fn cmd_chain(cfg: &SystemConfig, args: &[String]) {
         || obs.metrics_out.is_some()
         || obs.profile_out.is_some();
     if observing {
-        run_chain_obs(cfg, topo, shards, &obs, json.as_deref());
+        run_chain_obs(cfg, topo, &obs, json.as_deref());
     } else {
-        run_chain(cfg, cubes, star, interleave, shards, json.as_deref());
+        run_chain(cfg, cubes, star, interleave, json.as_deref());
     }
 }
 

@@ -51,7 +51,6 @@ pub struct SystemBuilder {
     /// Scenarios to install: `None` cube = every cube of the topology.
     faults: Vec<(Option<usize>, FaultScenario)>,
     policy: Option<FailurePolicy>,
-    shards: Option<usize>,
     profiler: bool,
 }
 
@@ -67,7 +66,6 @@ impl SystemBuilder {
             sanitizer: None,
             faults: Vec::new(),
             policy: None,
-            shards: None,
             profiler: false,
         }
     }
@@ -82,16 +80,6 @@ impl SystemBuilder {
     /// require [`build_any`](Self::build_any).
     pub fn backend(mut self, kind: BackendKind) -> Self {
         self.backend = kind;
-        self
-    }
-
-    /// Pumps chain epochs on `workers` threads instead of sequentially.
-    /// Purely a wall-clock knob: results are bit-identical at every
-    /// setting (see [`ChainSystem::set_parallel_shards`]). Ignored by
-    /// [`build`](Self::build) and by single-cube chains, which always run
-    /// the exact serial interleaving.
-    pub fn parallel_shards(mut self, workers: usize) -> Self {
-        self.shards = Some(workers);
         self
     }
 
@@ -290,9 +278,6 @@ impl SystemBuilder {
         );
         backends::apply_preset(self.backend, &mut self.cfg);
         let mut sys = ChainSystem::new(self.cfg, self.topo);
-        if let Some(workers) = self.shards {
-            sys.set_parallel_shards(workers);
-        }
         if let Some(policy) = self.policy {
             sys.set_failure_policy(policy);
         }
@@ -360,21 +345,6 @@ mod tests {
             .topology(Topology::chain(2))
             .build_chain();
         assert_eq!(chain.cubes(), 2);
-    }
-
-    #[test]
-    fn parallel_shards_reach_the_chain() {
-        let chain = SystemBuilder::new(SystemConfig::default())
-            .parallel_shards(4)
-            .topology(Topology::chain(2))
-            .build_chain();
-        assert_eq!(chain.parallel_shards(), 4);
-        // Requesting zero workers clamps to the serial scheduler.
-        let serial = SystemBuilder::new(SystemConfig::default())
-            .parallel_shards(0)
-            .topology(Topology::chain(2))
-            .build_chain();
-        assert_eq!(serial.parallel_shards(), 1);
     }
 
     #[test]

@@ -88,16 +88,8 @@ pub struct ChainReport {
 
 /// Measures aggregate read bandwidth of an `n`-cube chain with every
 /// sharded host running the cube-interleaved 16-vault `ro` workload.
-fn measure_chain(
-    cfg: &SystemConfig,
-    topo: Topology,
-    mc: &MeasureConfig,
-    shards: usize,
-) -> (f64, f64, f64) {
-    let mut sys = SystemBuilder::new(cfg.clone())
-        .parallel_shards(shards)
-        .topology(topo)
-        .build_chain();
+fn measure_chain(cfg: &SystemConfig, topo: Topology, mc: &MeasureConfig) -> (f64, f64, f64) {
+    let mut sys = SystemBuilder::new(cfg.clone()).topology(topo).build_chain();
     sys.apply_workload(&Workload::full_scale(
         RequestKind::ReadOnly,
         RequestSize::MAX,
@@ -116,11 +108,10 @@ fn measure_chain(
 
 /// Unloaded pointer-chase mean latency from host 0 to cube `target` of a
 /// chain, refresh disabled so the round trip is exact.
-fn chase_latency(cfg: &SystemConfig, topo: Topology, target: u8, shards: usize) -> f64 {
+fn chase_latency(cfg: &SystemConfig, topo: Topology, target: u8) -> f64 {
     let mut c = cfg.clone();
     c.mem.refresh.enabled = false;
     let mut sys = ChainSystem::new(c, topo);
-    sys.set_parallel_shards(shards);
     let size = RequestSize::new(128).expect("128 B is a valid request size");
     let addrs: Vec<Address> = (0..64u64).map(|i| Address::new(i * 4096)).collect();
     sys.host_mut(0)
@@ -141,10 +132,8 @@ fn pinned_bandwidth(
     topo: Topology,
     target: u8,
     mc: &MeasureConfig,
-    shards: usize,
 ) -> (f64, f64) {
     let mut sys = ChainSystem::new(cfg.clone(), topo);
-    sys.set_parallel_shards(shards);
     sys.host_mut(0).apply_workload(&Workload::full_scale(
         RequestKind::ReadOnly,
         RequestSize::MAX,
@@ -170,19 +159,6 @@ fn pinned_bandwidth(
 /// bandwidth, and every ladder rung must sit exactly on the modeled
 /// per-hop adder.
 pub fn characterize(cfg: &SystemConfig, topo: Topology, mc: &MeasureConfig) -> ChainReport {
-    characterize_sharded(cfg, topo, mc, 1)
-}
-
-/// [`characterize`] with every multi-cube run pumped on `shards` epoch
-/// worker threads. Results are bit-identical to the serial sweep at any
-/// worker count — the parallel scheduler is purely a wall-clock knob —
-/// so this exists for throughput, not for different answers.
-pub fn characterize_sharded(
-    cfg: &SystemConfig,
-    topo: Topology,
-    mc: &MeasureConfig,
-    shards: usize,
-) -> ChainReport {
     let max = topo.cubes();
     assert!(max >= 2, "chain characterization needs at least two cubes");
 
@@ -201,7 +177,7 @@ pub fn characterize_sharded(
             }
         }
         .with_interleave(topo.interleave());
-        let (bw, mrps, lat) = measure_chain(cfg, sub, mc, shards);
+        let (bw, mrps, lat) = measure_chain(cfg, sub, mc);
         if n == 1 {
             base = bw;
         }
@@ -215,7 +191,7 @@ pub fn characterize_sharded(
     }
 
     // Latency ladder: pinned unloaded chases at every reachable distance.
-    let near = chase_latency(cfg, topo, 0, shards);
+    let near = chase_latency(cfg, topo, 0);
     let probe = ChainSystem::new(cfg.clone(), topo);
     let modeled_ns = probe
         .modeled_hop_adder(RequestSize::new(128).expect("valid size"))
@@ -226,7 +202,7 @@ pub fn characterize_sharded(
         let lat = if target == 0 {
             near
         } else {
-            chase_latency(cfg, topo, target, shards)
+            chase_latency(cfg, topo, target)
         };
         ladder.push(HopPoint {
             hops,
@@ -239,8 +215,8 @@ pub fn characterize_sharded(
     // Near/far asymmetry at the chain's extremes: loaded runs supply the
     // bandwidth halves, the unloaded ladder endpoints the latency halves
     // (see the `NearFar` field docs for why loaded latency cannot).
-    let (near_bw, _) = pinned_bandwidth(cfg, topo, 0, mc, shards);
-    let (far_bw, _) = pinned_bandwidth(cfg, topo, max - 1, mc, shards);
+    let (near_bw, _) = pinned_bandwidth(cfg, topo, 0, mc);
+    let (far_bw, _) = pinned_bandwidth(cfg, topo, max - 1, mc);
     let near_far = NearFar {
         near_bandwidth_gbs: near_bw,
         far_bandwidth_gbs: far_bw,
@@ -444,9 +420,9 @@ mod tests {
     fn ladder_adder_is_constant_per_hop_over_three_cubes() {
         let cfg = SystemConfig::default();
         let topo = Topology::chain(3);
-        let l0 = chase_latency(&cfg, topo, 0, 1);
-        let l1 = chase_latency(&cfg, topo, 1, 1);
-        let l2 = chase_latency(&cfg, topo, 2, 1);
+        let l0 = chase_latency(&cfg, topo, 0);
+        let l1 = chase_latency(&cfg, topo, 1);
+        let l2 = chase_latency(&cfg, topo, 2);
         let one_hop = l1 - l0;
         let two_hop = l2 - l0;
         assert!(

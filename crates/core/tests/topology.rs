@@ -2,8 +2,9 @@
 //!
 //! The single-cube [`ChainSystem`] claims to execute the *exact* event
 //! interleaving of [`System`] — these tests pin that claim to the bit
-//! (`f64::to_bits` on every derived measurement), and pin the multi-cube
-//! pump to deterministic re-execution under an adverse (noisy-link,
+//! (`f64::to_bits` on every derived measurement), pin the multi-cube
+//! pump to recorded fingerprints at every cube count, and pin it to
+//! deterministic re-execution under an adverse (noisy-link,
 //! sanitizer-armed) configuration.
 
 use hmc_core::hmc_types::{RequestKind, RequestSize, Time, TimeDelta};
@@ -11,6 +12,8 @@ use hmc_core::topology::{ChainSystem, Topology};
 use hmc_core::{System, SystemConfig};
 use hmc_host::Workload;
 use sim_engine::FaultScenario;
+
+mod pin;
 
 const WARMUP: TimeDelta = TimeDelta::from_us(20);
 const WINDOW: TimeDelta = TimeDelta::from_us(60);
@@ -33,8 +36,8 @@ struct Fingerprint {
     now_ps: u64,
 }
 
-fn run_system(w: &Workload) -> Fingerprint {
-    let mut sys = System::new(SystemConfig::default());
+fn run_system(cfg: &SystemConfig, w: &Workload) -> Fingerprint {
+    let mut sys = System::new(cfg.clone());
     sys.host_mut().apply_workload(w);
     sys.host_mut().start(Time::ZERO);
     sys.step_until(Time::ZERO + WARMUP);
@@ -59,8 +62,8 @@ fn run_system(w: &Workload) -> Fingerprint {
     }
 }
 
-fn run_chain(w: &Workload) -> Fingerprint {
-    let mut sys = ChainSystem::new(SystemConfig::default(), Topology::single());
+fn run_chain(cfg: &SystemConfig, w: &Workload) -> Fingerprint {
+    let mut sys = ChainSystem::new(cfg.clone(), Topology::single());
     sys.host_mut(0).apply_workload(w);
     sys.host_mut(0).start(Time::ZERO);
     sys.step_until(Time::ZERO + WARMUP);
@@ -94,9 +97,10 @@ fn single_cube_chain_is_bit_identical_to_system() {
         Workload::mixed(RequestSize::new(64).expect("size"), 0.7),
         Workload::read_stream(512, RequestSize::new(32).expect("size")),
     ];
+    let cfg = SystemConfig::default();
     for w in &workloads {
-        let a = run_system(w);
-        let b = run_chain(w);
+        let a = run_system(&cfg, w);
+        let b = run_chain(&cfg, w);
         assert_eq!(a, b, "single-cube chain diverged from System for {w:?}");
         // Streams finish inside the warmup, so only the continuous
         // workloads must show traffic in the measurement window; the
@@ -106,6 +110,27 @@ fn single_cube_chain_is_bit_identical_to_system() {
         }
         assert!(a.events > 0, "no events processed");
     }
+}
+
+#[test]
+fn single_cube_chain_honours_the_host_rng_salt() {
+    // A reseeded host must draw the same streams in a one-cube chain as
+    // in the single system: the chain mixes its per-cube salt into the
+    // configured one instead of replacing it.
+    let w = Workload::full_scale(RequestKind::ReadOnly, RequestSize::new(128).expect("size"));
+    let mut cfg = SystemConfig::default();
+    cfg.host.rng_salt = 0x5EED_C4A1;
+    let salted = run_system(&cfg, &w);
+    assert_ne!(
+        salted,
+        run_system(&SystemConfig::default(), &w),
+        "the salt never reached the generators — test is vacuous"
+    );
+    assert_eq!(
+        salted,
+        run_chain(&cfg, &w),
+        "the chain dropped the host salt"
+    );
 }
 
 #[test]
@@ -169,13 +194,12 @@ fn run_noisy_pair() -> (String, u64, u64, u64) {
     )
 }
 
-/// Runs a `cubes`-cube chain with the sanitizer armed on `workers` epoch
-/// workers and flattens every observable surface — merged host window,
-/// per-cube device counters, event totals, final clock, and the full
-/// sanitizer report — into one comparable string.
-fn run_sharded(cubes: u8, workers: usize) -> String {
+/// Runs a `cubes`-cube chain with the sanitizer armed and flattens every
+/// observable surface — merged host window, per-cube device counters,
+/// event totals, final clock, and the full sanitizer report — into one
+/// comparable string.
+fn run_sharded(cubes: u8) -> String {
     let mut sys = ChainSystem::new(SystemConfig::default(), Topology::chain(cubes));
-    sys.set_parallel_shards(workers);
     sys.enable_sanitizer();
     sys.apply_workload(&Workload::full_scale(
         RequestKind::ReadOnly,
@@ -186,7 +210,7 @@ fn run_sharded(cubes: u8, workers: usize) -> String {
     sys.stop_generation();
     assert!(
         sys.run_until_idle(TimeDelta::from_ms(10)),
-        "{cubes}-cube chain on {workers} workers failed to drain"
+        "{cubes}-cube chain failed to drain"
     );
     sys.sanitize_check_drained();
     let s = sys.host_stats();
@@ -216,24 +240,32 @@ fn run_sharded(cubes: u8, workers: usize) -> String {
     out
 }
 
+/// `(FNV-1a 64, byte length)` of [`run_sharded`] at 1..=8 cubes.
+const SHARDED_PINS: [(u64, usize); 8] = [
+    (0x1c7a_dc68_9fa8_8b5e, 392),
+    (0x93a5_d3d1_5732_6e26, 460),
+    (0xb516_2668_d55b_6289, 528),
+    (0x3e26_b3b1_c5c0_bef5, 596),
+    (0x0fd2_ccdb_e262_441c, 664),
+    (0x49fe_d55c_2f05_c73e, 722),
+    (0x288d_62be_7f22_1d8e, 788),
+    (0x6783_11cd_2e3c_0535, 850),
+];
+
 #[test]
-fn parallel_shards_are_bit_identical_to_serial() {
-    // The tentpole claim: the epoch scheduler computes the same states no
-    // matter how many worker threads pump the shards — at every cube
-    // count. Serial (1 worker) is the reference; 2/4/8 workers must agree
-    // byte for byte, sanitizer report included.
-    for cubes in 1..=8u8 {
-        let serial = run_sharded(cubes, 1);
-        for workers in [2, 4, 8] {
-            let parallel = run_sharded(cubes, workers);
-            assert_eq!(
-                serial, parallel,
-                "{cubes} cubes diverged on {workers} workers"
-            );
-        }
+fn sharded_chains_match_pinned_fingerprints() {
+    // The epoch scheduler's whole observable surface, sanitizer report
+    // included, must reproduce the recorded bytes at every cube count.
+    for (cubes, &want) in (1..=8u8).zip(&SHARDED_PINS) {
+        let surface = run_sharded(cubes);
         assert!(
-            serial.contains("\"clean\":true"),
-            "sanitizer flagged the {cubes}-cube run: {serial}"
+            surface.contains("\"clean\":true"),
+            "sanitizer flagged the {cubes}-cube run: {surface}"
+        );
+        assert_eq!(
+            pin::fingerprint(&surface),
+            want,
+            "{cubes}-cube surface drifted:\n{surface}"
         );
     }
 }

@@ -67,9 +67,8 @@ pub struct EventQueue<E> {
     popped: u64,
     /// Cached earliest-event time in ps, or [`DIRTY`]/[`EMPTY`]. Lets
     /// `peek_time(&self)` stay O(1) on the hot path. A `Cell` (not an
-    /// atomic): the queue is single-owner by design — the PDES pool
-    /// *moves* whole shards between threads, it never shares one — so
-    /// the type is `Send` but deliberately not `Sync`.
+    /// atomic): the queue is single-owner by design, so the type is
+    /// `Send` but deliberately not `Sync`.
     cached_peek: Cell<u64>,
 }
 

@@ -19,11 +19,10 @@
 //! * [`exec`] — a scoped-thread sweep executor that fans independent
 //!   simulation points across cores while keeping results in input order,
 //!   so sweeps stay bit-identical at any thread count.
-//! * [`pdes`] — conservative parallel-DES scaffolding: per-edge lookahead
+//! * [`pdes`] — conservative sharded-DES scaffolding: per-edge lookahead
 //!   tables, deterministic cross-shard mailboxes drained in total
-//!   `(at, edge, dir, seq)` order, a persistent epoch worker pool, and a
-//!   deterministic sim-time [`pdes::EpochProfiler`] (plus a wall-clock
-//!   worker-utilization summary confined to the pool).
+//!   `(at, edge, dir, seq)` order, and a deterministic sim-time
+//!   [`pdes::EpochProfiler`].
 //! * [`trace`] — always-compiled, zero-overhead-when-disabled lifecycle
 //!   tracing: per-stage span histograms plus a sampled event log with a
 //!   Chrome trace-event (Perfetto) exporter.
@@ -69,7 +68,7 @@ pub use arrival::{ArrivalKind, ArrivalStream, ZipfSampler};
 pub use event::EventQueue;
 pub use fault::{FaultEvent, FaultKind, FaultScenario};
 pub use metrics::MetricsSampler;
-pub use pdes::{EpochProfiler, EpochSample, PoolUtilization};
+pub use pdes::{EpochProfiler, EpochSample};
 pub use queue::BoundedQueue;
 pub use regress::LinearFit;
 pub use rng::SplitMix64;

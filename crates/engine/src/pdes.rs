@@ -1,35 +1,25 @@
-//! Conservative parallel discrete-event scaffolding: epoch scheduling,
-//! deterministic mailboxes, and a persistent shard worker pool.
+//! Conservative discrete-event scaffolding for sharded simulations:
+//! lookahead windows, deterministic mailboxes, and an epoch profiler.
 //!
 //! The engine stays policy-free: this module knows nothing about cubes,
-//! links, or packets. It provides the three mechanisms a conservative
-//! (lookahead-based) PDES driver needs, and the simulation crate supplies
-//! the physics:
+//! links, or packets. It provides the mechanisms a conservative
+//! (lookahead-based) shard scheduler needs, and the simulation crate
+//! supplies the physics and the serial pump:
 //!
 //! * [`LookaheadTable`] — per-channel minimum cross-shard latencies fixed
 //!   at build time. Any message a shard emits during the half-open window
 //!   `[a, b)` carries a timestamp `>= b` as long as `b − a` never exceeds
-//!   the global lookahead, so shards can advance a whole epoch without
-//!   hearing from their neighbours.
+//!   the global lookahead, so every shard can advance a whole window
+//!   before any neighbour's output for that window is exchanged.
 //! * [`Mailbox`] — a timestamped inbox drained in total [`MsgKey`] order
-//!   `(at, edge, dir, seq)`. Because the key order is total and identical
-//!   however messages arrive, delivery order — and therefore simulation
-//!   state — is independent of which thread produced each message, which
-//!   is what makes parallel runs bit-identical to serial ones.
-//! * [`ShardPool`] — a persistent pool of worker threads that shards are
-//!   *moved* through each epoch: the coordinator sends owned shard chunks
-//!   down a channel, workers call [`EpochShard::pump_epoch`], and the
-//!   shards come back. Between epochs the coordinator owns every shard
-//!   outright, so cross-shard exchange needs no locks or atomics.
-//!
-//! The pool is deliberately rendezvous-style rather than work-stealing:
-//! determinism comes from the mailbox order and the epoch barrier, and a
-//! fixed round-robin shard→worker assignment keeps scheduling noise out
-//! of profiles.
+//!   `(at, edge, dir, seq)`. Because the key order is total, delivery
+//!   order — and therefore simulation state — does not depend on the
+//!   order in which the scheduler routed the messages.
+//! * [`EpochProfiler`] — a sim-time record of what each shard did in each
+//!   lookahead window (events, envelopes, window utilization, parking).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::mpsc;
 
 use hmc_types::{Time, TimeDelta};
 
@@ -87,7 +77,7 @@ impl<M> Ord for Item<M> {
 }
 
 /// A deterministic timestamped inbox: messages pop in [`MsgKey`] order no
-/// matter the order they were pushed. One per shard; the coordinator
+/// matter the order they were pushed. One per shard; the scheduler
 /// routes [`Envelope`]s into it at epoch boundaries.
 #[derive(Debug)]
 pub struct Mailbox<M> {
@@ -185,18 +175,6 @@ impl LookaheadTable {
     }
 }
 
-/// One unit of parallel work: a shard that can advance itself to an epoch
-/// boundary using only state it owns. Messages for other shards are
-/// buffered inside the shard and collected by the coordinator after the
-/// epoch (the engine never sees them in flight).
-pub trait EpochShard: Send + 'static {
-    /// Processes every local event and already-delivered message strictly
-    /// before `end` (the epoch window is half-open, so a message
-    /// timestamped exactly `end` lands in the next epoch on every shard
-    /// alike).
-    fn pump_epoch(&mut self, end: Time);
-}
-
 /// Maximum retained epoch spans per shard in the profiler. Busy epochs
 /// past the cap are still counted in the aggregates but drop out of the
 /// Perfetto track; the drop count is reported so truncation is visible.
@@ -215,10 +193,10 @@ pub struct EpochSpan {
     pub sent: u64,
 }
 
-/// What one shard did during one epoch, as observed by the coordinator.
+/// What one shard did during one epoch, as observed by the scheduler.
 /// All fields are deltas over the epoch, derived purely from simulation
 /// state — no wall clock is involved, so profiles are bit-identical
-/// across worker counts.
+/// across runs.
 #[derive(Debug, Clone, Copy)]
 pub struct EpochSample {
     /// Events processed this epoch (host + device + deliveries).
@@ -261,10 +239,9 @@ pub struct ShardEpochProfile {
 }
 
 /// A deterministic, sim-time profiler for the conservative epoch
-/// scheduler. The *coordinator* feeds it one [`EpochSample`] per shard
-/// after each epoch, so the profiler never runs on worker threads and
-/// its output is independent of the worker count — armed or not, it
-/// reads simulation state without mutating it (bit-inert).
+/// scheduler. The scheduler feeds it one [`EpochSample`] per shard after
+/// each lookahead window; armed or not, it reads simulation state
+/// without mutating it (bit-inert).
 #[derive(Debug, Clone)]
 pub struct EpochProfiler {
     shards: Vec<ShardEpochProfile>,
@@ -369,170 +346,6 @@ impl EpochProfiler {
     }
 }
 
-/// Wall-clock utilization summary of a [`ShardPool`]: how much host time
-/// each worker spent pumping shards vs. waiting at the epoch barrier.
-///
-/// This is the *only* non-deterministic observable in the PDES layer —
-/// it explains `BENCH_simperf.json` speedups but must never feed back
-/// into simulation state or deterministic fingerprints.
-#[derive(Debug, Clone, Default)]
-pub struct PoolUtilization {
-    /// Nanoseconds each worker spent executing `pump_epoch` calls.
-    pub busy_ns: Vec<u64>,
-    /// Nanoseconds the coordinator spent inside `run_epoch` overall
-    /// (dispatch + worker execution + barrier collection).
-    pub wall_ns: u64,
-    /// Epochs dispatched through the pool.
-    pub epochs: u64,
-}
-
-impl PoolUtilization {
-    /// Busy fraction of one worker (0.0 when nothing ran).
-    pub fn busy_fraction(&self, worker: usize) -> f64 {
-        if self.wall_ns == 0 {
-            return 0.0;
-        }
-        self.busy_ns[worker] as f64 / self.wall_ns as f64
-    }
-}
-
-type Chunk<S> = Vec<(usize, S)>;
-
-struct Worker<S> {
-    job_tx: mpsc::Sender<(Chunk<S>, Time)>,
-    done_rx: mpsc::Receiver<(Chunk<S>, u64)>,
-    // hmc-lint: allow(thread)
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-/// A persistent pool of epoch workers. Shards are moved to workers for
-/// the duration of one epoch and moved back; the coordinator owns all
-/// shards between epochs, so exchange logic is plain single-threaded code.
-///
-/// Determinism note: the pool affects *where* a shard's epoch runs, never
-/// *what* it computes — shard↔worker assignment is a fixed round-robin of
-/// the (already sorted) shard list, and results are re-sorted by shard
-/// index before they are returned.
-pub struct ShardPool<S: EpochShard> {
-    workers: Vec<Worker<S>>,
-    utilization: PoolUtilization,
-}
-
-impl<S: EpochShard> ShardPool<S> {
-    /// Spawns `n` persistent worker threads (`n >= 1`).
-    pub fn new(n: usize) -> Self {
-        let n = n.max(1);
-        let workers = (0..n)
-            .map(|i| {
-                let (job_tx, job_rx) = mpsc::channel::<(Chunk<S>, Time)>();
-                let (done_tx, done_rx) = mpsc::channel::<(Chunk<S>, u64)>();
-                // hmc-lint: allow(thread)
-                let handle = std::thread::Builder::new()
-                    .name(format!("pdes-shard-{i}"))
-                    .spawn(move || {
-                        while let Ok((mut chunk, end)) = job_rx.recv() {
-                            // Busy time is wall-clock by definition (it
-                            // explains speedups); it rides back on the
-                            // done channel and never touches the shards.
-                            // hmc-lint: allow(wall-clock)
-                            let t0 = std::time::Instant::now();
-                            for (_, shard) in &mut chunk {
-                                shard.pump_epoch(end);
-                            }
-                            let busy = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                            if done_tx.send((chunk, busy)).is_err() {
-                                break;
-                            }
-                        }
-                    })
-                    .expect("spawn pdes worker");
-                Worker {
-                    job_tx,
-                    done_rx,
-                    handle: Some(handle),
-                }
-            })
-            .collect();
-        ShardPool {
-            workers,
-            utilization: PoolUtilization {
-                busy_ns: vec![0; n],
-                wall_ns: 0,
-                epochs: 0,
-            },
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// The accumulated wall-clock utilization summary (busy vs. barrier
-    /// wait per worker). Non-deterministic; never fold this into a
-    /// simulation fingerprint.
-    pub fn utilization(&self) -> &PoolUtilization {
-        &self.utilization
-    }
-
-    /// Runs one epoch: every shard advances to `end` on some worker, and
-    /// the full shard list comes back sorted by shard index.
-    pub fn run_epoch(&mut self, shards: Chunk<S>, end: Time) -> Chunk<S> {
-        // hmc-lint: allow(wall-clock)
-        let wall0 = std::time::Instant::now();
-        let n = self.workers.len();
-        let mut chunks: Vec<Chunk<S>> = (0..n).map(|_| Vec::new()).collect();
-        for (i, shard) in shards.into_iter().enumerate() {
-            chunks[i % n].push(shard);
-        }
-        let mut active = Vec::with_capacity(n);
-        for (w, chunk) in chunks.into_iter().enumerate() {
-            if chunk.is_empty() {
-                continue;
-            }
-            self.workers[w]
-                .job_tx
-                .send((chunk, end))
-                .expect("pdes worker alive");
-            active.push(w);
-        }
-        let mut out: Chunk<S> = Vec::new();
-        for w in active {
-            let (chunk, busy) = self.workers[w].done_rx.recv().expect("pdes worker alive");
-            self.utilization.busy_ns[w] = self.utilization.busy_ns[w].saturating_add(busy);
-            out.extend(chunk);
-        }
-        out.sort_by_key(|(idx, _)| *idx);
-        self.utilization.epochs += 1;
-        self.utilization.wall_ns = self
-            .utilization
-            .wall_ns
-            .saturating_add(u64::try_from(wall0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        out
-    }
-}
-
-impl<S: EpochShard> Drop for ShardPool<S> {
-    fn drop(&mut self) {
-        for w in &mut self.workers {
-            // Dropping the sender ends the worker's recv loop.
-            let (dead_tx, _) = mpsc::channel();
-            w.job_tx = dead_tx;
-            if let Some(h) = w.handle.take() {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
-impl<S: EpochShard> std::fmt::Debug for ShardPool<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardPool")
-            .field("workers", &self.workers.len())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,47 +396,6 @@ mod tests {
     #[should_panic(expected = "strictly positive")]
     fn lookahead_rejects_zero_latency_edge() {
         let _ = LookaheadTable::new(vec![TimeDelta::from_ps(100), TimeDelta::ZERO]);
-    }
-
-    struct Counter {
-        id: usize,
-        log: Vec<u64>,
-    }
-    impl EpochShard for Counter {
-        fn pump_epoch(&mut self, end: Time) {
-            self.log.push(end.as_ps() + self.id as u64);
-        }
-    }
-
-    #[test]
-    fn pool_round_trips_shards_in_index_order() {
-        for workers in [1, 2, 3, 8] {
-            let mut pool: ShardPool<Counter> = ShardPool::new(workers);
-            assert_eq!(pool.workers(), workers);
-            let mut shards: Vec<(usize, Counter)> = (0..5)
-                .map(|i| {
-                    (
-                        i,
-                        Counter {
-                            id: i,
-                            log: Vec::new(),
-                        },
-                    )
-                })
-                .collect();
-            for epoch in 1..=4u64 {
-                shards = pool.run_epoch(shards, Time::from_ps(epoch * 100));
-                assert_eq!(
-                    shards.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
-                    vec![0, 1, 2, 3, 4],
-                    "{workers} workers, epoch {epoch}"
-                );
-            }
-            for (i, c) in &shards {
-                let want: Vec<u64> = (1..=4).map(|e| e * 100 + *i as u64).collect();
-                assert_eq!(c.log, want, "shard {i} saw every epoch in order");
-            }
-        }
     }
 
     #[test]
@@ -686,44 +458,5 @@ mod tests {
         assert_eq!(p.shards()[0].spans.len(), EPOCH_SPAN_CAP);
         assert_eq!(p.shards()[0].dropped_spans, 10);
         assert!(p.to_json().contains("\"dropped_spans\":10"));
-    }
-
-    #[test]
-    fn pool_reports_utilization() {
-        let mut pool: ShardPool<Counter> = ShardPool::new(2);
-        let mut shards: Vec<(usize, Counter)> = (0..4)
-            .map(|i| {
-                (
-                    i,
-                    Counter {
-                        id: i,
-                        log: Vec::new(),
-                    },
-                )
-            })
-            .collect();
-        for e in 1..=3u64 {
-            shards = pool.run_epoch(shards, Time::from_ps(e * 10));
-        }
-        let u = pool.utilization();
-        assert_eq!(u.epochs, 3);
-        assert_eq!(u.busy_ns.len(), 2);
-        assert!(u.wall_ns > 0, "coordinator wall time must accumulate");
-        assert!(u.busy_fraction(0) <= 1.0 + f64::EPSILON);
-    }
-
-    #[test]
-    fn pool_handles_more_workers_than_shards() {
-        let mut pool: ShardPool<Counter> = ShardPool::new(8);
-        let shards = vec![(
-            0,
-            Counter {
-                id: 0,
-                log: Vec::new(),
-            },
-        )];
-        let shards = pool.run_epoch(shards, Time::from_ps(7));
-        assert_eq!(shards.len(), 1);
-        assert_eq!(shards[0].1.log, vec![7]);
     }
 }

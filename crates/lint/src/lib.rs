@@ -44,8 +44,8 @@
 //! | `layering` | imports violating the workspace DAG | anywhere |
 //! | `unused-allow` | stale allow markers | never |
 //!
-//! The "sanctioned schedulers" are the two audited engine files
-//! (`engine/src/exec.rs`, `engine/src/pdes.rs`) — the only places
+//! The "sanctioned scheduler" is the one audited engine file
+//! (`engine/src/exec.rs`, the sweep executor) — the only place
 //! threading, host-time reads, and atomics may live, and only under an
 //! explicit marker; elsewhere those bans are hard.
 //!
@@ -431,11 +431,15 @@ fn also_real() { other.unwrap(); }
     #[test]
     fn thread_rule_is_path_scoped() {
         let marked = "let h = std::thread::spawn(f); // hmc-lint: allow(thread)";
-        // The marker is honored only inside the two audited schedulers.
+        // The marker is honored only inside the audited sweep executor.
         assert!(lint_file("crates/engine/src/exec.rs", marked).is_empty());
-        assert!(lint_file("crates/engine/src/pdes.rs", marked).is_empty());
-        let elsewhere = lint_file("crates/mem/src/device.rs", marked);
-        assert_eq!(elsewhere[0].rule, "thread");
+        for elsewhere in ["crates/engine/src/pdes.rs", "crates/mem/src/device.rs"] {
+            assert_eq!(
+                lint_file(elsewhere, marked)[0].rule,
+                "thread",
+                "{elsewhere}"
+            );
+        }
         // Without the marker even the sanctioned files flag it.
         let bare = "let s = std::thread::scope(|s| run(s));";
         assert_eq!(lint_file("crates/engine/src/exec.rs", bare).len(), 1);
@@ -451,9 +455,8 @@ fn also_real() { other.unwrap(); }
     #[test]
     fn wall_clock_rule_is_path_scoped() {
         let marked = "let t0 = std::time::Instant::now(); // hmc-lint: allow(wall-clock)";
-        // Honored only inside the two audited schedulers.
+        // Honored only inside the audited sweep executor.
         assert!(lint_file("crates/engine/src/exec.rs", marked).is_empty());
-        assert!(lint_file("crates/engine/src/pdes.rs", marked).is_empty());
         let elsewhere = lint_file("crates/host/src/host.rs", marked);
         assert_eq!(
             elsewhere.iter().map(|f| f.rule).collect::<Vec<_>>(),
@@ -461,7 +464,7 @@ fn also_real() { other.unwrap(); }
         );
         // Without the marker even the sanctioned files flag it.
         let bare = "let t0 = std::time::Instant::now();";
-        assert_eq!(lint_file("crates/engine/src/pdes.rs", bare).len(), 1);
+        assert_eq!(lint_file("crates/engine/src/exec.rs", bare).len(), 1);
     }
 
     #[test]

@@ -15,9 +15,9 @@ use crate::Finding;
 pub enum AllowPolicy {
     /// `// hmc-lint: allow(<rule>)` works at any site.
     Anywhere,
-    /// The marker is only honored inside the two audited engine
-    /// schedulers (`engine/src/exec.rs`, `engine/src/pdes.rs`);
-    /// elsewhere the ban is hard and the marker itself goes stale.
+    /// The marker is only honored inside the audited engine sweep
+    /// executor (`engine/src/exec.rs`); elsewhere the ban is hard and
+    /// the marker itself goes stale.
     SanctionedSchedulers,
     /// The rule can never be suppressed (the unused-allow meta rule:
     /// a waivable staleness check would itself go stale).
@@ -149,9 +149,9 @@ pub fn rule(name: &str) -> Option<&'static RuleMeta> {
     RULES.iter().find(|r| r.name == name)
 }
 
-/// The only files where `SanctionedSchedulers` markers are honored.
+/// The only file where `SanctionedSchedulers` markers are honored.
 pub fn sanctioned_scheduler(label: &str) -> bool {
-    label.ends_with("engine/src/exec.rs") || label.ends_with("engine/src/pdes.rs")
+    label.ends_with("engine/src/exec.rs")
 }
 
 /// Binary entry points may call `std::process::exit` (that is where
