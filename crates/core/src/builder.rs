@@ -6,7 +6,8 @@
 //! permutations. [`SystemBuilder`] consolidates them: declare everything
 //! up front, then [`build`](SystemBuilder::build) a single-cube
 //! [`System`] or [`build_chain`](SystemBuilder::build_chain) a multi-cube
-//! [`ChainSystem`] with identical semantics.
+//! [`ChainSystem`]. Every variant constructs a [`ChainSystem`] (a
+//! `System` is one cube of it) and applies the knobs in one function.
 //!
 //! ```
 //! use hmc_core::builder::SystemBuilder;
@@ -24,6 +25,7 @@
 //! assert!(chain.sanitizer_enabled());
 //! ```
 
+use hmc_mem::HmcDevice;
 use hmc_thermal::FailurePolicy;
 use hmc_types::TimeDelta;
 use mem_backend::{BackendKind, MemoryBackend};
@@ -36,9 +38,10 @@ use crate::topology::{ChainSystem, Topology};
 /// Declarative constructor for [`System`] and [`ChainSystem`].
 ///
 /// Every observability and fault knob that used to require a post-`new`
-/// `enable_*` call is a chainable method here; the two `build` variants
-/// apply them in one fixed order (policy, tracing, metrics, sanitizer,
-/// faults), so all construction paths behave identically.
+/// `enable_*` call is a chainable method here; every `build` variant
+/// applies them in one fixed order (policy, tracing, metrics, epoch
+/// profiler, sanitizer, faults), so all construction paths behave
+/// identically.
 #[derive(Debug, Clone)]
 pub struct SystemBuilder {
     cfg: SystemConfig,
@@ -91,8 +94,8 @@ impl SystemBuilder {
     }
 
     /// Arms the deterministic PDES epoch profiler (see
-    /// [`ChainSystem::enable_epoch_profiler`]). Chain-only: ignored by
-    /// [`build`](Self::build), which has no epoch loop to profile.
+    /// [`ChainSystem::enable_epoch_profiler`]). Every variant arms it; a
+    /// one-cube system has no epochs, so its profile stays empty.
     pub fn epoch_profiler(mut self) -> Self {
         self.profiler = true;
         self
@@ -163,121 +166,8 @@ impl SystemBuilder {
     }
 
     /// Applies the declared observability and fault knobs to a built
-    /// system, in the one fixed order every build variant shares.
-    fn finish_system<B: MemoryBackend>(self, mut sys: System<B>) -> System<B> {
-        if let Some(policy) = self.policy {
-            sys.set_failure_policy(policy);
-        }
-        if let Some(sample_every) = self.tracing {
-            sys.enable_tracing(sample_every);
-        }
-        if let Some(period) = self.metrics {
-            sys.enable_metrics(period);
-        }
-        match self.sanitizer {
-            Some(Some(span)) => sys.enable_sanitizer_with_span(span),
-            Some(None) => sys.enable_sanitizer(),
-            None => {}
-        }
-        for (_, scenario) in &self.faults {
-            sys.install_faults(scenario);
-        }
-        sys
-    }
-
-    /// Builds a single-cube [`System`] with the concrete HMC device
-    /// (the statically-typed fast path every existing caller uses).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a multi-cube [`topology`](SystemBuilder::topology) was
-    /// selected — use [`build_chain`](SystemBuilder::build_chain) — or
-    /// if a non-HMC [`backend`](SystemBuilder::backend) preset was
-    /// selected — use [`build_any`](SystemBuilder::build_any).
-    pub fn build(mut self) -> System {
-        assert_eq!(
-            self.topo.cubes(),
-            1,
-            "multi-cube topology requires build_chain()"
-        );
-        assert!(
-            matches!(self.backend, BackendKind::Hmc | BackendKind::HmcGen3),
-            "backend preset '{}' requires build_any()",
-            self.backend
-        );
-        backends::apply_preset(self.backend, &mut self.cfg);
-        let sys = System::new(self.cfg.clone());
-        self.finish_system(sys)
-    }
-
-    /// Builds a single-cube system around the selected
-    /// [`backend`](SystemBuilder::backend) preset, after the build-time
-    /// address-layout handshake.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a multi-cube topology, or with a diagnostic naming
-    /// both bit-fields when the instantiated backend decodes a shared
-    /// address field differently than the host generates it.
-    pub fn build_any(mut self) -> System<AnyBackend> {
-        assert_eq!(
-            self.topo.cubes(),
-            1,
-            "multi-cube topology requires build_chain()"
-        );
-        backends::apply_preset(self.backend, &mut self.cfg);
-        let device = backends::instantiate(self.backend, &self.cfg);
-        backends::assert_layout_compatible(
-            &device,
-            &backends::host_layout(self.backend, &self.cfg),
-        );
-        let sys = System::with_backend(self.cfg.host.clone(), device);
-        self.finish_system(sys)
-    }
-
-    /// Builds a single-cube system around a caller-constructed backend
-    /// — the checked entry point for custom device models that share
-    /// the host's interleave (DIMM-style backends with no interleave
-    /// contract go through [`build_any`](Self::build_any) presets).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a multi-cube topology, or with a diagnostic naming
-    /// both bit-fields when `device` decodes a shared address field
-    /// differently than the host's configured mapping generates it.
-    pub fn build_with<B: MemoryBackend>(self, device: B) -> System<B> {
-        assert_eq!(
-            self.topo.cubes(),
-            1,
-            "multi-cube topology requires build_chain()"
-        );
-        let host = mem_backend::AddressLayout::of_mapping(
-            "host-interleave",
-            self.cfg.mem.mapping,
-            &self.cfg.mem.spec,
-        );
-        backends::assert_layout_compatible(&device, &host);
-        let sys = System::with_backend(self.cfg.host.clone(), device);
-        self.finish_system(sys)
-    }
-
-    /// Builds a [`ChainSystem`] of the selected topology (any cube count,
-    /// including the single-cube identity topology).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a non-HMC [`backend`](SystemBuilder::backend) preset
-    /// was selected: cube chaining is an HMC-specification feature (the
-    /// hop links are HMC pass-through serializers), so chains are
-    /// HMC-family only.
-    pub fn build_chain(mut self) -> ChainSystem {
-        assert!(
-            matches!(self.backend, BackendKind::Hmc | BackendKind::HmcGen3),
-            "backend preset '{}' cannot form a cube chain; chaining is HMC-family only",
-            self.backend
-        );
-        backends::apply_preset(self.backend, &mut self.cfg);
-        let mut sys = ChainSystem::new(self.cfg, self.topo);
+    /// chain, in the one fixed order every build variant shares.
+    fn apply<B: MemoryBackend>(self, mut sys: ChainSystem<B>) -> ChainSystem<B> {
         if let Some(policy) = self.policy {
             sys.set_failure_policy(policy);
         }
@@ -307,25 +197,155 @@ impl SystemBuilder {
         }
         sys
     }
+
+    /// Rejects a multi-cube [`topology`](SystemBuilder::topology) in a
+    /// single-cube build variant.
+    fn assert_single_cube(&self) {
+        assert_eq!(
+            self.topo.cubes(),
+            1,
+            "multi-cube topology requires build_chain()"
+        );
+    }
+
+    /// Wraps `device` in a one-cube system with every knob applied.
+    fn single<B: MemoryBackend>(self, device: B) -> System<B> {
+        let mut device = Some(device);
+        let chain = ChainSystem::with_devices(self.cfg.clone(), Topology::single(), |_, _| {
+            device.take().expect("a single topology builds one device")
+        });
+        System::from_chain(self.apply(chain))
+    }
+
+    /// Builds a single-cube [`System`] with the concrete HMC device
+    /// (the statically-typed fast path every existing caller uses).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a multi-cube [`topology`](SystemBuilder::topology) was
+    /// selected — use [`build_chain`](SystemBuilder::build_chain) — or
+    /// if a non-HMC [`backend`](SystemBuilder::backend) preset was
+    /// selected — use [`build_any`](SystemBuilder::build_any).
+    pub fn build(mut self) -> System {
+        self.assert_single_cube();
+        assert!(
+            matches!(self.backend, BackendKind::Hmc | BackendKind::HmcGen3),
+            "backend preset '{}' requires build_any()",
+            self.backend
+        );
+        backends::apply_preset(self.backend, &mut self.cfg);
+        let device = HmcDevice::new(self.cfg.mem.clone());
+        self.single(device)
+    }
+
+    /// Builds a single-cube system around the selected
+    /// [`backend`](SystemBuilder::backend) preset, after the build-time
+    /// address-layout handshake.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a multi-cube topology, or with a diagnostic naming
+    /// both bit-fields when the instantiated backend decodes a shared
+    /// address field differently than the host generates it.
+    pub fn build_any(mut self) -> System<AnyBackend> {
+        self.assert_single_cube();
+        backends::apply_preset(self.backend, &mut self.cfg);
+        let device = backends::instantiate(self.backend, &self.cfg);
+        backends::assert_layout_compatible(
+            &device,
+            &backends::host_layout(self.backend, &self.cfg),
+        );
+        self.single(device)
+    }
+
+    /// Builds a single-cube system around a caller-constructed backend
+    /// — the checked entry point for custom device models that share
+    /// the host's interleave (DIMM-style backends with no interleave
+    /// contract go through [`build_any`](Self::build_any) presets).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a multi-cube topology, or with a diagnostic naming
+    /// both bit-fields when `device` decodes a shared address field
+    /// differently than the host's configured mapping generates it.
+    pub fn build_with<B: MemoryBackend>(self, device: B) -> System<B> {
+        self.assert_single_cube();
+        let host = mem_backend::AddressLayout::of_mapping(
+            "host-interleave",
+            self.cfg.mem.mapping,
+            &self.cfg.mem.spec,
+        );
+        backends::assert_layout_compatible(&device, &host);
+        self.single(device)
+    }
+
+    /// Builds a [`ChainSystem`] of the selected topology (any cube count,
+    /// including the single-cube identity topology).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a non-HMC [`backend`](SystemBuilder::backend) preset
+    /// was selected: cube chaining is an HMC-specification feature (the
+    /// hop links are HMC pass-through serializers), so chains are
+    /// HMC-family only.
+    pub fn build_chain(mut self) -> ChainSystem {
+        assert!(
+            matches!(self.backend, BackendKind::Hmc | BackendKind::HmcGen3),
+            "backend preset '{}' cannot form a cube chain; chaining is HMC-family only",
+            self.backend
+        );
+        backends::apply_preset(self.backend, &mut self.cfg);
+        let chain = ChainSystem::new(self.cfg.clone(), self.topo);
+        self.apply(chain)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Which knobs reached cube 0: sanitizer, metrics, host tracer,
+    /// device tracer, epoch profiler.
+    fn armed<B: MemoryBackend>(sys: &ChainSystem<B>) -> [bool; 5] {
+        [
+            sys.sanitizer_enabled(),
+            sys.metrics(0).is_some(),
+            sys.host(0).tracer().is_enabled(),
+            sys.device(0).tracer().is_enabled(),
+            sys.epoch_profile().is_some(),
+        ]
+    }
+
     #[test]
     fn builder_matches_mutator_path() {
-        let built = SystemBuilder::new(SystemConfig::default())
-            .tracing(8)
-            .metrics(TimeDelta::from_us(10))
-            .sanitizer()
-            .build();
+        let knobs = || {
+            SystemBuilder::new(SystemConfig::default())
+                .tracing(8)
+                .metrics(TimeDelta::from_us(10))
+                .epoch_profiler()
+                .sanitizer()
+        };
         let mut mutated = System::new(SystemConfig::default());
         mutated.enable_tracing(8);
         mutated.enable_metrics(TimeDelta::from_us(10));
+        mutated.enable_epoch_profiler();
         mutated.enable_sanitizer();
-        assert_eq!(built.sanitizer_enabled(), mutated.sanitizer_enabled());
-        assert_eq!(built.metrics().is_some(), mutated.metrics().is_some());
+        assert_eq!(armed(&mutated), [true; 5]);
+        let variants = [
+            ("build", armed(&knobs().build())),
+            (
+                "build_any",
+                armed(&knobs().backend(BackendKind::Hbm).build_any()),
+            ),
+            (
+                "build_with",
+                armed(&knobs().build_with(HmcDevice::new(SystemConfig::default().mem))),
+            ),
+            ("build_chain", armed(&knobs().build_chain())),
+        ];
+        for (name, got) in variants {
+            assert_eq!(got, armed(&mutated), "{name} dropped a knob");
+        }
     }
 
     #[test]

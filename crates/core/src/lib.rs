@@ -6,7 +6,7 @@
 //! the paper's experiments as reusable functions:
 //!
 //! * [`system`] — [`System`]: the host + device co-simulation with
-//!   deterministic event interleaving.
+//!   deterministic event interleaving, a one-cube [`ChainSystem`].
 //! * [`pattern`] — [`AccessPattern`]: the paper's *k*-bank / *k*-vault
 //!   targeted access patterns expressed as GUPS address masks.
 //! * [`measure`] — warm-up/window measurement runner producing a
@@ -60,8 +60,8 @@ pub use observe::{ObservedChain, ObservedStream, ObservedWindow, TraceReport};
 pub use pattern::AccessPattern;
 pub use report::{JsonReport, Table};
 pub use sanitize::{SanitizedPoint, SanitizedRun};
-pub use system::{RecoveryRecord, System, SystemConfig};
-pub use topology::{Arrangement, ChainSystem, Topology};
+pub use system::{System, SystemConfig};
+pub use topology::{Arrangement, ChainSystem, RecoveryRecord, Topology};
 
 // Re-export the substrate crates so downstream users need only hmc-core.
 pub use ddr_baseline;

@@ -43,24 +43,14 @@ impl TraceReport {
     /// system into one report (any backend: the device tracer comes
     /// through the [`MemoryBackend`] surface).
     pub fn from_system<B: MemoryBackend>(sys: &System<B>) -> Self {
-        let mut stages: Vec<Histogram> = sys.host().tracer().stage_histograms().to_vec();
-        for (mine, theirs) in stages
-            .iter_mut()
-            .zip(sys.device().tracer().stage_histograms())
-        {
-            mine.merge(theirs);
-        }
-        let mut events: Vec<TraceEvent> = sys.host().tracer().events().to_vec();
-        events.extend_from_slice(sys.device().tracer().events());
-        TraceReport { stages, events }
+        TraceReport::from_chain(sys)
     }
 
     /// Merges every tracer of a chain — each cube's host and device
     /// tracer plus each shard's hop tracer (stage
-    /// [`Stage::HopLink`]) — into one report. On a single-cube chain the
-    /// hop tracers are empty and this reduces to
-    /// [`from_system`](TraceReport::from_system) semantics.
-    pub fn from_chain(sys: &ChainSystem) -> Self {
+    /// [`Stage::HopLink`]) — into one report. A one-cube chain's hop
+    /// tracer stays empty.
+    pub fn from_chain<B: MemoryBackend>(sys: &ChainSystem<B>) -> Self {
         let mut stages = vec![Histogram::new(); Stage::COUNT];
         let mut events: Vec<TraceEvent> = Vec::new();
         for s in 0..sys.cubes() {

@@ -1,19 +1,20 @@
-//! The full-system co-simulation: host and device advanced in lockstep
-//! with deterministic event interleaving.
+//! The full-system co-simulation: one FPGA host driving one memory
+//! device, advanced in lockstep with deterministic event interleaving.
 //!
-//! Installed [`FaultScenario`]s flow through here: device-level faults
-//! become device events at install time, while thermal spikes act as time
-//! barriers in [`System::step_until`] — the system advances exactly to
-//! the spike, evaluates the [`FailurePolicy`] against the live workload's
-//! write content, and on shutdown executes the timed
-//! [`RecoveryStep`] sequence (DRAM lost, host in-flight window replayed).
+//! A [`System`] is a one-cube [`ChainSystem`]: the same construction
+//! path, event pump, and tracing, metrics, sanitizer, fault,
+//! thermal-recovery and watchdog wiring. It adds only the no-index
+//! accessors a single cube needs, and derefs to the chain for the rest.
 
-use hmc_host::{Host, HostConfig, LinkSink};
-use hmc_mem::{DeviceOutput, HmcDevice, MemConfig};
-use hmc_thermal::{FailurePolicy, RecoveryStep, ThermalEvent};
-use hmc_types::{MemoryRequest, Time, TimeDelta};
+use std::ops::{Deref, DerefMut};
+
+use hmc_host::{Host, HostConfig};
+use hmc_mem::{HmcDevice, MemConfig};
+use hmc_types::Time;
 use mem_backend::MemoryBackend;
-use sim_engine::{FaultKind, FaultScenario, MetricsSampler, SanitizerReport, ViolationClass};
+use sim_engine::{FaultScenario, MetricsSampler};
+
+use crate::topology::{ChainSystem, Topology};
 
 /// Configuration of the whole modelled system.
 #[derive(Debug, Clone, Default)]
@@ -24,20 +25,8 @@ pub struct SystemConfig {
     pub host: HostConfig,
 }
 
-/// Newtype adapter: any memory backend as the host's transmit sink.
-struct DeviceSink<'a, B: MemoryBackend>(&'a mut B);
-
-impl<B: MemoryBackend> LinkSink for DeviceSink<'_, B> {
-    fn free_slots(&self, link: usize) -> usize {
-        self.0.free_slots(link)
-    }
-
-    fn submit(&mut self, link: usize, req: MemoryRequest, now: Time) -> Result<(), MemoryRequest> {
-        self.0.submit(link, req, now)
-    }
-}
-
-/// The co-simulated system: an FPGA host driving an HMC device.
+/// The co-simulated system: an FPGA host driving an HMC device (or any
+/// other [`MemoryBackend`]).
 ///
 /// ```
 /// use hmc_core::{System, SystemConfig};
@@ -55,419 +44,84 @@ impl<B: MemoryBackend> LinkSink for DeviceSink<'_, B> {
 /// # Ok::<(), hmc_types::HmcError>(())
 /// ```
 #[derive(Debug)]
-pub struct System<B: MemoryBackend = HmcDevice> {
-    host: Host,
-    device: B,
-    now: Time,
-    sampler: Option<MetricsSampler>,
-    watchdog: Option<Watchdog>,
-    /// Pending thermal spikes (sorted ascending); each acts as a time
-    /// barrier in [`System::step_until`].
-    thermal_spikes: Vec<(Time, f64)>,
-    /// Thermal limits evaluated at each spike.
-    policy: FailurePolicy,
-    /// Every shutdown/recovery cycle executed so far.
-    recoveries: Vec<RecoveryRecord>,
-}
-
-/// One thermal shutdown and its timed recovery, as executed live.
-#[derive(Debug, Clone)]
-pub struct RecoveryRecord {
-    /// Instant the spike crossed the policy limit and the device halted.
-    pub shutdown_at: Time,
-    /// The offending surface temperature, °C.
-    pub surface_c: f64,
-    /// The recovery sequence with the duration charged per step.
-    pub steps: Vec<(RecoveryStep, TimeDelta)>,
-    /// Instant the device accepted traffic again.
-    pub resume_at: Time,
-    /// In-flight requests the host replayed from `resume_at`.
-    pub replayed: usize,
-}
-
-impl RecoveryRecord {
-    /// Total dead time of the cycle.
-    pub fn outage(&self) -> TimeDelta {
-        self.resume_at.since(self.shutdown_at)
-    }
-}
-
-/// Forward-progress watchdog state: outstanding requests with no
-/// retirement for [`Watchdog::span`] of simulated time means the system
-/// wedged (deadlock or livelock) and a diagnostic dump is recorded.
-/// Shared with the chain topology, whose pump runs the same check over
-/// the fleet-wide completion count.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Watchdog {
-    /// Simulated time without a retirement before the watchdog trips.
-    pub(crate) span: TimeDelta,
-    /// Completion count at the last observed progress.
-    pub(crate) last_completed: u64,
-    /// Instant of the last observed progress.
-    pub(crate) last_progress: Time,
-    /// Set once tripped so the report carries one dump, not thousands.
-    pub(crate) tripped: bool,
-}
+pub struct System<B: MemoryBackend = HmcDevice>(ChainSystem<B>);
 
 impl System {
     /// Builds an idle system around the characterized HMC device.
     pub fn new(cfg: SystemConfig) -> Self {
-        let device = HmcDevice::new(cfg.mem);
-        System::with_backend(cfg.host, device)
+        System(ChainSystem::new(cfg, Topology::single()))
     }
 }
 
 impl<B: MemoryBackend> System<B> {
-    /// Builds an idle system around an already-constructed backend —
-    /// the generic entry point [`SystemBuilder::build_any`] and the
-    /// conformance tests use for non-HMC technologies.
-    ///
-    /// [`SystemBuilder::build_any`]: crate::SystemBuilder::build_any
-    pub fn with_backend(host: HostConfig, device: B) -> Self {
-        System {
-            host: Host::new(host),
-            device,
-            now: Time::ZERO,
-            sampler: None,
-            watchdog: None,
-            thermal_spikes: Vec::new(),
-            policy: FailurePolicy::default(),
-            recoveries: Vec::new(),
-        }
+    /// Wraps a one-cube chain.
+    pub(crate) fn from_chain(chain: ChainSystem<B>) -> Self {
+        debug_assert_eq!(chain.cubes(), 1, "a System has exactly one cube");
+        System(chain)
     }
 
     /// Installs a fault scenario: device-level faults are translated into
     /// device events immediately; thermal spikes are queued as time
-    /// barriers for [`System::step_until`]. Scenarios compose — calling
-    /// this twice merges the schedules.
+    /// barriers for [`step_until`](System::step_until). Scenarios compose
+    /// — calling this twice merges the schedules.
     ///
     /// Deprecated construction path: prefer
     /// [`SystemBuilder::faults`](crate::SystemBuilder::faults) when the
     /// scenario is known up front.
     pub fn install_faults(&mut self, scenario: &FaultScenario) {
-        for ev in &scenario.events {
-            match ev.kind {
-                FaultKind::ThermalSpike { surface_c } => {
-                    self.thermal_spikes.push((ev.at, surface_c));
-                }
-                kind => self.device.schedule_fault(ev.at, kind),
-            }
-        }
-        self.thermal_spikes
-            .sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        self.0.install_faults(0, scenario);
     }
 
-    /// Replaces the thermal limits evaluated at spikes (defaults follow
-    /// the paper: 85 °C read / 75 °C write / 80 °C refresh boost).
-    pub fn set_failure_policy(&mut self, policy: FailurePolicy) {
-        self.policy = policy;
-    }
-
-    /// Every thermal shutdown/recovery cycle executed so far.
-    pub fn recoveries(&self) -> &[RecoveryRecord] {
-        &self.recoveries
-    }
-
-    /// Turns on lifecycle tracing on both the host and device tracers.
-    /// Every traced request feeds the per-stage histograms; one in
-    /// `sample_every` also lands in the exportable event log.
-    ///
-    /// Deprecated construction path: prefer
-    /// [`SystemBuilder::tracing`](crate::SystemBuilder::tracing), which
-    /// declares the same thing before the system exists. Kept as a thin
-    /// wrapper for existing callers.
-    pub fn enable_tracing(&mut self, sample_every: u64) {
-        self.host.tracer_mut().enable(sample_every);
-        self.device.tracer_mut().enable(sample_every);
-    }
-
-    /// Installs a periodic gauge sampler with the given period. Samples
-    /// are taken deterministically at each period boundary as simulated
-    /// time advances through [`System::step_until`].
-    ///
-    /// Deprecated construction path: prefer
-    /// [`SystemBuilder::metrics`](crate::SystemBuilder::metrics).
-    pub fn enable_metrics(&mut self, period: TimeDelta) {
-        self.sampler = Some(MetricsSampler::new(period));
-    }
-
-    /// The gauge sampler, if [`System::enable_metrics`] installed one.
+    /// The gauge sampler, if metrics are enabled.
     pub fn metrics(&self) -> Option<&MetricsSampler> {
-        self.sampler.as_ref()
-    }
-
-    /// Arms the protocol sanitizer on both components plus the
-    /// forward-progress watchdog (default span). Enable before starting a
-    /// run; the merged outcome comes from
-    /// [`sanitizer_report`](System::sanitizer_report).
-    ///
-    /// Deprecated construction path: prefer
-    /// [`SystemBuilder::sanitizer`](crate::SystemBuilder::sanitizer).
-    pub fn enable_sanitizer(&mut self) {
-        // Worst legal retirement gap: one fully-loaded bank queue
-        // (120 deep) serializing at tRC ≈ 15 µs; 200 µs means wedged.
-        self.enable_sanitizer_with_span(TimeDelta::from_us(200));
-    }
-
-    /// [`enable_sanitizer`](System::enable_sanitizer) with an explicit
-    /// watchdog span (simulated time without a retirement while requests
-    /// are outstanding before the run is declared wedged).
-    pub fn enable_sanitizer_with_span(&mut self, span: TimeDelta) {
-        self.host.enable_sanitizer();
-        self.device.enable_sanitizer();
-        self.watchdog = Some(Watchdog {
-            span,
-            last_completed: self.completed(),
-            last_progress: self.now,
-            tripped: false,
-        });
-    }
-
-    /// True once [`enable_sanitizer`](System::enable_sanitizer) armed the
-    /// checks.
-    pub fn sanitizer_enabled(&self) -> bool {
-        self.host.sanitizer().is_enabled()
-    }
-
-    /// The merged sanitizer outcome of both components (host first, so
-    /// violation order is deterministic).
-    pub fn sanitizer_report(&self) -> SanitizerReport {
-        let mut r = self.host.sanitizer().report();
-        r.merge(&self.device.sanitizer().report());
-        r
-    }
-
-    /// Asserts the request-conservation ledger is empty — call once the
-    /// run has drained (no outstanding requests expected). With the
-    /// open-loop frontend attached this also asserts the shed-accounting
-    /// invariant (`offered = shed + completed` at drain).
-    pub fn sanitize_check_drained(&mut self) {
-        let now = self.now;
-        self.host.check_open_conservation(now);
-        self.host.sanitizer_mut().check_drained(now);
-    }
-
-    /// Deterministic dump of both components' occupancies, credit counts,
-    /// and clock — the body of the watchdog's diagnostic report.
-    pub fn diagnostic_dump(&self) -> String {
-        let mut s = format!("system wedged at {}\n", self.now);
-        s.push_str(&self.host.diagnostic_dump(self.now));
-        s.push_str(&self.device.diagnostic_dump(self.now));
-        let in_use = self.device.sanitizer().credits_in_use();
-        if !in_use.is_empty() {
-            s.push_str("credits in use per link: ");
-            for (l, c) in in_use.iter().enumerate() {
-                if l > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!("link {l}={c}"));
-            }
-            s.push('\n');
-        }
-        s
-    }
-
-    fn completed(&self) -> u64 {
-        self.host.total_issued() - self.host.outstanding()
-    }
-
-    /// Feeds the watchdog: records progress, and trips it (once) with a
-    /// diagnostic dump when outstanding requests stop retiring.
-    fn watchdog_check(&mut self, now: Time) {
-        let Some(mut wd) = self.watchdog else {
-            return;
-        };
-        let completed = self.completed();
-        if completed != wd.last_completed || self.host.outstanding() == 0 {
-            wd.last_completed = completed;
-            wd.last_progress = now;
-        } else if !wd.tripped && now >= wd.last_progress && now.since(wd.last_progress) >= wd.span {
-            wd.tripped = true;
-            let detail = format!(
-                "no retirement for {} with {} outstanding\n{}",
-                now.since(wd.last_progress),
-                self.host.outstanding(),
-                self.diagnostic_dump(),
-            );
-            self.host
-                .sanitizer_mut()
-                .note_violation(ViolationClass::Watchdog, now, detail);
-        }
-        self.watchdog = Some(wd);
+        self.0.metrics(0)
     }
 
     /// The host model.
     pub fn host(&self) -> &Host {
-        &self.host
+        self.0.host(0)
     }
 
     /// Mutable host access (workload installation, stat windows).
     pub fn host_mut(&mut self) -> &mut Host {
-        &mut self.host
+        self.0.host_mut(0)
     }
 
     /// The device model.
     pub fn device(&self) -> &B {
-        &self.device
+        self.0.device(0)
     }
 
     /// Mutable device access (refresh coupling, data wipes).
     pub fn device_mut(&mut self) -> &mut B {
-        &mut self.device
+        self.0.device_mut(0)
     }
 
-    /// Total discrete events processed by the host and device queues —
-    /// the denominator of events-per-second throughput reporting.
-    pub fn events_processed(&self) -> u64 {
-        self.host.events_processed() + self.device.events_processed()
-    }
-
-    /// The system clock (time of the last processed event).
+    /// The system clock (time of the last processed event). Inherent,
+    /// like [`step_until`](System::step_until), so `System::now` names
+    /// this method even where a trait with the same name is in scope.
     pub fn now(&self) -> Time {
-        self.now
+        self.0.now()
     }
 
-    /// Advances both components until no event at or before `end`
-    /// remains. Installed thermal spikes act as barriers: the system
-    /// advances exactly to each spike, evaluates the failure policy, and
-    /// (on shutdown) executes the recovery cycle before continuing.
+    /// Advances host and device until no event at or before `end`
+    /// remains (see [`ChainSystem::step_until`]).
     pub fn step_until(&mut self, end: Time) {
-        while let Some(&(at, surface_c)) = self.thermal_spikes.first() {
-            if at > end {
-                break;
-            }
-            self.step_events_until(at);
-            self.thermal_spikes.remove(0);
-            self.apply_thermal_spike(at, surface_c);
-        }
-        self.step_events_until(end);
+        self.0.step_until(end);
     }
+}
 
-    /// Evaluates one thermal spike against the failure policy. The
-    /// write limit applies as soon as the run has completed any write —
-    /// the paper's ~10 °C earlier write-workload shutdowns.
-    fn apply_thermal_spike(&mut self, at: Time, surface_c: f64) {
-        let writes = self.device.core_stats().writes_completed > 0;
-        match self.policy.check(surface_c, writes) {
-            Ok(ThermalEvent::Normal) => {}
-            Ok(ThermalEvent::RefreshBoost) => self.device.set_refresh_multiplier(2),
-            Err(_) => self.thermal_shutdown(at, surface_c),
-        }
+impl<B: MemoryBackend> Deref for System<B> {
+    type Target = ChainSystem<B>;
+
+    fn deref(&self) -> &ChainSystem<B> {
+        &self.0
     }
+}
 
-    /// Executes a live shutdown/recovery cycle: the device halts and
-    /// forgets everything (in-flight packets, queue contents, DRAM data),
-    /// the timed recovery sequence elapses, and the host replays its
-    /// in-flight window from the resume instant.
-    fn thermal_shutdown(&mut self, at: Time, surface_c: f64) {
-        let mut steps = Vec::new();
-        let mut resume = at;
-        for step in RecoveryStep::sequence() {
-            let d = step.typical_duration();
-            steps.push((step, d));
-            resume += d;
-        }
-        self.device.reset_after_shutdown(resume);
-        let replayed = self.host.reset_for_recovery(resume);
-        // The outage is legal dead time, not a wedge: restart the
-        // forward-progress clock at the resume instant.
-        if let Some(wd) = &mut self.watchdog {
-            wd.last_progress = resume;
-        }
-        self.now = self.now.max(at);
-        self.recoveries.push(RecoveryRecord {
-            shutdown_at: at,
-            surface_c,
-            steps,
-            resume_at: resume,
-            replayed,
-        });
-    }
-
-    /// The event-pump core of [`System::step_until`] (no thermal
-    /// barriers).
-    fn step_events_until(&mut self, end: Time) {
-        let links = self.device.num_links();
-        let mut outputs: Vec<DeviceOutput> = Vec::new();
-        loop {
-            let t = match (self.host.next_time(), self.device.next_time()) {
-                (Some(h), Some(d)) => h.min(d),
-                (Some(h), None) => h,
-                (None, Some(d)) => d,
-                (None, None) => break,
-            };
-            if t > end {
-                break;
-            }
-            // Host first: its submissions at instants <= t reach a device
-            // whose clock has not passed t yet.
-            {
-                let mut sink = DeviceSink(&mut self.device);
-                self.host.advance_instant(t, &mut sink);
-            }
-            outputs.clear();
-            self.device.advance_instant(t, &mut outputs);
-            for o in &outputs {
-                self.host.receive_response(o.resp, o.at);
-            }
-            if self.host.any_node_stalled() {
-                for l in 0..links {
-                    let free = self.device.free_slots(l);
-                    if free > 0 {
-                        self.host.notify_credit(l, free, t);
-                    }
-                }
-            }
-            if let Some(mut s) = self.sampler.take() {
-                while let Some(due) = s.due_before(t) {
-                    self.host.sample_metrics(due, &mut s);
-                    self.device.sample_metrics(due, &mut s);
-                    s.advance();
-                }
-                self.sampler = Some(s);
-            }
-            self.now = t;
-            self.watchdog_check(t);
-        }
-        self.now = self.now.max(end);
-        // A wedged system can drain both event queues while requests are
-        // still outstanding (e.g. a link that never grants credit): the
-        // loop above exits immediately, so the watchdog must also see the
-        // end-of-step instant.
-        self.watchdog_check(self.now);
-    }
-
-    /// Runs until the host has no outstanding work (stream drained) or
-    /// `max` simulated time elapses. Returns `true` if the system went
-    /// idle.
-    pub fn run_until_idle(&mut self, max: TimeDelta) -> bool {
-        let deadline = self.now + max;
-        // Step in slices so we can observe the idle condition between
-        // event bursts.
-        while self.now < deadline {
-            if !self.host.is_busy() {
-                return true;
-            }
-            let spike = self.thermal_spikes.first().map(|&(t, _)| t);
-            let next = [self.host.next_time(), self.device.next_time(), spike]
-                .into_iter()
-                .flatten()
-                .min();
-            let Some(next) = next else {
-                return !self.host.is_busy();
-            };
-            if next > deadline {
-                break;
-            }
-            self.step_until(next);
-        }
-        !self.host.is_busy()
-    }
-
-    /// Convenience: advance by a span.
-    pub fn run_for(&mut self, span: TimeDelta) {
-        let end = self.now + span;
-        self.step_until(end);
+impl<B: MemoryBackend> DerefMut for System<B> {
+    fn deref_mut(&mut self) -> &mut ChainSystem<B> {
+        &mut self.0
     }
 }
 
@@ -475,7 +129,7 @@ impl<B: MemoryBackend> System<B> {
 mod tests {
     use super::*;
     use hmc_host::Workload;
-    use hmc_types::{RequestKind, RequestSize};
+    use hmc_types::{RequestKind, RequestSize, TimeDelta};
 
     #[test]
     fn stream_of_reads_completes() {

@@ -38,11 +38,12 @@
 //! only the components with work due (see [`CubeShard::pump_instant`]).
 //! See DESIGN.md §10–§11 for the protocol.
 //!
-//! A single-cube [`ChainSystem`] executes the exact event interleaving of
-//! [`crate::System`] — bit-identical measurements — because the shard is
-//! the identity function, all seeds collapse to their single-system
-//! values, and the pump degenerates to the same
-//! host→device→credits→sampler order.
+//! A single cube has no edges and no epochs: it runs its own pump
+//! ([`ChainSystem::step_until`]), which visits every host and device
+//! instant in host→device→credits→sampler order. [`crate::System`] is
+//! exactly that one-cube chain, so both types share one construction
+//! path, one pump per cube count, and one copy of the tracing, metrics,
+//! sanitizer, fault, thermal-recovery and watchdog wiring.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -62,7 +63,7 @@ use sim_engine::{
     FaultKind, FaultScenario, MetricsSampler, SanitizerReport, Tracer, ViolationClass,
 };
 
-use crate::system::{RecoveryRecord, SystemConfig, Watchdog};
+use crate::system::SystemConfig;
 
 /// Shift giving every sharded host a disjoint request-id range; the high
 /// bits double as the stateless origin-cube routing tag for responses.
@@ -100,8 +101,7 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// A single cube — the degenerate topology whose [`ChainSystem`] is
-    /// bit-identical to [`crate::System`].
+    /// A single cube: the topology of every [`crate::System`].
     pub fn single() -> Self {
         Topology::chain(1)
     }
@@ -551,7 +551,7 @@ impl<B: MemoryBackend> CubeShard<B> {
     /// or a metrics sample. Parked request heads are deliberately
     /// excluded — they retry when the event that frees their next stage
     /// fires. Used only on the multi-cube path (the single-cube pump
-    /// mirrors [`crate::System`] exactly, sampler excluded).
+    /// looks at the host and the device alone, sampler excluded).
     fn next_time(&self) -> Option<Time> {
         let sample = self.sampler.as_ref().and_then(|s| s.due_before(Time::MAX));
         earliest(
@@ -742,8 +742,8 @@ impl<B: MemoryBackend> CubeShard<B> {
         }
         // 6. Metrics samples due by this instant. Hop gauges ride the
         //    same per-cube sampler as the host and device gauges (the
-        //    single-cube pump has no ports, so its gauge stream stays
-        //    byte-identical to the single-system one).
+        //    single-cube pump never gets here, so a one-cube gauge
+        //    stream carries no hop or mailbox series).
         if let Some(mut smp) = self.sampler.take() {
             while let Some(due) = smp.due_before(t) {
                 self.host.sample_metrics(due, &mut smp);
@@ -779,7 +779,7 @@ impl<B: MemoryBackend> CubeShard<B> {
     }
 
     /// Routes one device output: responses to locally-issued requests go
-    /// to the local host (exactly the single-system path); responses to
+    /// to the local host (exactly the single-cube path); responses to
     /// forwarded requests re-enter the chain toward their origin cube,
     /// paying another serialization per hop.
     fn route_device_output(&mut self, o: &DeviceOutput) {
@@ -887,11 +887,131 @@ impl<B: MemoryBackend> CubeShard<B> {
     }
 }
 
+/// One thermal shutdown and its timed recovery, as executed live.
+#[derive(Debug, Clone)]
+pub struct RecoveryRecord {
+    /// The cube that shut down (0 in a [`crate::System`]).
+    pub cube: usize,
+    /// Instant the spike crossed the policy limit and the device halted.
+    pub shutdown_at: Time,
+    /// The offending surface temperature, °C.
+    pub surface_c: f64,
+    /// The recovery sequence with the duration charged per step.
+    pub steps: Vec<(RecoveryStep, TimeDelta)>,
+    /// Instant the device accepted traffic again.
+    pub resume_at: Time,
+    /// In-flight requests the host replayed from `resume_at`.
+    pub replayed: usize,
+}
+
+impl RecoveryRecord {
+    /// Total dead time of the cycle.
+    pub fn outage(&self) -> TimeDelta {
+        self.resume_at.since(self.shutdown_at)
+    }
+}
+
+/// Forward-progress watchdog state: outstanding requests with no
+/// retirement anywhere in the fleet for [`Watchdog::span`] of simulated
+/// time means the system wedged (deadlock or livelock) and a diagnostic
+/// dump is recorded.
+#[derive(Debug, Clone, Copy)]
+struct Watchdog {
+    /// Simulated time without a retirement before the watchdog trips.
+    span: TimeDelta,
+    /// Completion count at the last observed progress.
+    last_completed: u64,
+    /// Instant of the last observed progress.
+    last_progress: Time,
+    /// Set once tripped so the report carries one dump, not thousands.
+    tripped: bool,
+}
+
+/// Fleet-wide `(completed, outstanding)` request counts.
+fn fleet_progress<B: MemoryBackend>(shards: &[CubeShard<B>]) -> (u64, u64) {
+    shards.iter().fold((0, 0), |(done, open), sh| {
+        let out = sh.host.outstanding();
+        (done + sh.host.total_issued() - out, open + out)
+    })
+}
+
+/// Feeds the watchdog at `now`: records progress, and trips it (once)
+/// with a diagnostic dump when outstanding requests stop retiring. The
+/// violation lands on cube 0's host sanitizer, so the merged report
+/// carries exactly one dump. Borrows only what it reads, so a pump can
+/// call it while holding its shard.
+fn watchdog_check<B: MemoryBackend>(
+    watchdog: &mut Option<Watchdog>,
+    shards: &mut [CubeShard<B>],
+    topo: &Topology,
+    now: Time,
+) {
+    let Some(wd) = watchdog else {
+        return;
+    };
+    let (completed, outstanding) = fleet_progress(shards);
+    if completed != wd.last_completed || outstanding == 0 {
+        wd.last_completed = completed;
+        wd.last_progress = now;
+    } else if !wd.tripped && now >= wd.last_progress && now.since(wd.last_progress) >= wd.span {
+        wd.tripped = true;
+        let detail = format!(
+            "no retirement for {} with {outstanding} outstanding\n{}",
+            now.since(wd.last_progress),
+            wedge_dump(shards, topo, now),
+        );
+        shards[0]
+            .host
+            .sanitizer_mut()
+            .note_violation(ViolationClass::Watchdog, now, detail);
+    }
+}
+
+/// The body of [`ChainSystem::diagnostic_dump`]: every cube's host and
+/// device occupancies, credits in use per host link, hop-port backlogs
+/// and pending mailbox messages at `now`.
+fn wedge_dump<B: MemoryBackend>(shards: &[CubeShard<B>], topo: &Topology, now: Time) -> String {
+    let mut s = format!("system wedged at {now} ({topo})\n");
+    for sh in shards {
+        s.push_str(&format!("-- cube {}\n", sh.idx));
+        s.push_str(&sh.host.diagnostic_dump(now));
+        s.push_str(&sh.device.diagnostic_dump(now));
+        let in_use = sh.device.sanitizer().credits_in_use();
+        if !in_use.is_empty() {
+            s.push_str("credits in use per link: ");
+            for (l, c) in in_use.iter().enumerate() {
+                if l > 0 {
+                    s.push_str(", ");
+                }
+                s.push_str(&format!("link {l}={c}"));
+            }
+            s.push('\n');
+        }
+        for p in &sh.ports {
+            let tx: usize = (0..sh.links)
+                .map(|l| p.req_tx[l].link.ingress_backlog() + p.resp_tx[l].link.egress_backlog())
+                .sum();
+            let rx: usize = (0..sh.links)
+                .map(|l| p.req_rx[l].len() + p.resp_rx[l].len())
+                .sum();
+            let credits: usize = (0..sh.links).map(|l| p.req_tx[l].credits).sum();
+            s.push_str(&format!(
+                "port ->{} (edge {}): tx backlog {tx}, rx queued {rx}, credits {credits}\n",
+                p.peer, p.edge
+            ));
+        }
+        if !sh.inbox.is_empty() {
+            s.push_str(&format!("inbox pending {}\n", sh.inbox.len()));
+        }
+    }
+    s
+}
+
 /// A chained (or starred) multi-cube system: N sharded hosts, N cubes,
-/// pass-through links between adjacent cubes. With one cube this executes
-/// the exact [`crate::System`] event interleaving; with more, the cubes
-/// advance as conservative shards in lockstep lookahead windows (see the
-/// module docs).
+/// pass-through links between adjacent cubes. With one cube this is the
+/// whole of a [`crate::System`]: host and device alternate instant by
+/// instant; with more, the cubes advance as conservative shards in
+/// lockstep lookahead windows (see the module docs).
 ///
 /// ```
 /// use hmc_core::topology::{ChainSystem, Topology};
@@ -919,7 +1039,7 @@ pub struct ChainSystem<B: MemoryBackend = HmcDevice> {
     /// Pending thermal spikes `(at, °C, cube)`, sorted ascending.
     thermal_spikes: Vec<(Time, f64, usize)>,
     policy: FailurePolicy,
-    recoveries: Vec<(usize, RecoveryRecord)>,
+    recoveries: Vec<RecoveryRecord>,
     /// Deterministic per-shard epoch profiler (armed on demand; the
     /// scheduler feeds it after every epoch barrier).
     profiler: Option<EpochProfiler>,
@@ -936,8 +1056,8 @@ impl ChainSystem {
     /// * a host sharded over the whole topology, with request-id base
     ///   `s << 48` (ids double as stateless response-routing tags), and a
     ///   per-cube generator-seed salt mixed into the configured
-    ///   `rng_salt` (unchanged for cube 0, so a single-cube topology draws
-    ///   the exact single-system streams);
+    ///   `rng_salt` (unchanged for cube 0, so a one-cube chain draws the
+    ///   configured streams);
     /// * a device whose link-fault seeds are salted per cube (base seed
     ///   unchanged for cube 0);
     /// * pass-through hop serializers toward its neighbors, one per
@@ -961,7 +1081,10 @@ impl ChainSystem {
 
 impl<B: MemoryBackend> ChainSystem<B> {
     /// Builds an idle multi-cube system from a per-cube backend factory —
-    /// the generic analogue of [`ChainSystem::new`]. The hop links joining
+    /// the generic analogue of [`ChainSystem::new`], and the one
+    /// constructor every [`SystemBuilder`](crate::SystemBuilder) variant
+    /// goes through. Each cube's host-link count is its built device's
+    /// [`num_links`](MemoryBackend::num_links). The hop links joining
     /// adjacent cubes stay HMC pass-through serializers (cube chaining is
     /// an HMC-specification feature; the backend only replaces what sits
     /// behind each cube's host-facing ports).
@@ -972,18 +1095,18 @@ impl<B: MemoryBackend> ChainSystem<B> {
     ) -> Self {
         let n = topo.cubes() as usize;
         let shard = topo.shard();
-        let links = cfg.mem.links.num_links() as usize;
         let probe = DeviceLink::new(cfg.mem.links, cfg.mem.link_layer);
         let hop_floor = probe.transfer_time(FLIT_BYTES);
         let credit_window = cfg.mem.link_layer.retry_buffer_depth;
         let mut shards = Vec::with_capacity(n);
         for s in 0..n {
+            let device = factory(s, &cfg);
+            let links = device.num_links();
             let mut hc = cfg.host.clone();
             hc.shard = shard;
             hc.request_id_base = (s as u64) << ORIGIN_SHIFT;
             hc.rng_salt = cfg.host.rng_salt ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let host = Host::new(hc);
-            let device = factory(s, &cfg);
             let mut ports = Vec::new();
             for b in topo.neighbors(s) {
                 let (e, up) = topo.hop_between(s, b);
@@ -1225,9 +1348,12 @@ impl<B: MemoryBackend> ChainSystem<B> {
     }
 
     /// Arms the protocol sanitizer on every host and device plus the
-    /// fleet-wide forward-progress watchdog (default span, as
-    /// [`crate::System::enable_sanitizer`]).
+    /// fleet-wide forward-progress watchdog (default span). Enable before
+    /// starting a run; the merged outcome comes from
+    /// [`sanitizer_report`](ChainSystem::sanitizer_report).
     pub fn enable_sanitizer(&mut self) {
+        // Worst legal retirement gap: one fully-loaded bank queue
+        // (120 deep) serializing at tRC ≈ 15 µs; 200 µs means wedged.
         self.enable_sanitizer_with_span(TimeDelta::from_us(200));
     }
 
@@ -1240,7 +1366,7 @@ impl<B: MemoryBackend> ChainSystem<B> {
         }
         self.watchdog = Some(Watchdog {
             span,
-            last_completed: self.completed(),
+            last_completed: fleet_progress(&self.shards).0,
             last_progress: self.now,
             tripped: false,
         });
@@ -1252,8 +1378,7 @@ impl<B: MemoryBackend> ChainSystem<B> {
     }
 
     /// The merged sanitizer outcome: hosts in cube order first, then
-    /// devices — deterministic violation order, and the cube-0 pair comes
-    /// out exactly as [`crate::System::sanitizer_report`] for one cube.
+    /// devices — deterministic violation order.
     pub fn sanitizer_report(&self) -> SanitizerReport {
         let mut r = self.shards[0].host.sanitizer().report();
         for sh in &self.shards[1..] {
@@ -1318,8 +1443,8 @@ impl<B: MemoryBackend> ChainSystem<B> {
         self.policy = policy;
     }
 
-    /// Every `(cube, shutdown/recovery cycle)` executed so far.
-    pub fn recoveries(&self) -> &[(usize, RecoveryRecord)] {
+    /// Every shutdown/recovery cycle executed so far.
+    pub fn recoveries(&self) -> &[RecoveryRecord] {
         &self.recoveries
     }
 
@@ -1341,78 +1466,18 @@ impl<B: MemoryBackend> ChainSystem<B> {
         self.shards.iter().any(|sh| sh.host.is_busy())
     }
 
-    /// Deterministic dump of every cube's occupancies plus hop-port
-    /// backlogs — the watchdog's diagnostic body.
+    /// Deterministic dump of every cube's occupancies, credits in use
+    /// per host link, hop-port backlogs and clock — the body of the
+    /// watchdog's diagnostic report.
     pub fn diagnostic_dump(&self) -> String {
-        let mut s = format!("chain wedged at {} ({})\n", self.now, self.topo);
-        for sh in &self.shards {
-            s.push_str(&format!("-- cube {}\n", sh.idx));
-            s.push_str(&sh.host.diagnostic_dump(self.now));
-            s.push_str(&sh.device.diagnostic_dump(self.now));
-            for p in &sh.ports {
-                let tx: usize = (0..sh.links)
-                    .map(|l| {
-                        p.req_tx[l].link.ingress_backlog() + p.resp_tx[l].link.egress_backlog()
-                    })
-                    .sum();
-                let rx: usize = (0..sh.links)
-                    .map(|l| p.req_rx[l].len() + p.resp_rx[l].len())
-                    .sum();
-                let credits: usize = (0..sh.links).map(|l| p.req_tx[l].credits).sum();
-                s.push_str(&format!(
-                    "port ->{} (edge {}): tx backlog {tx}, rx queued {rx}, credits {credits}\n",
-                    p.peer, p.edge
-                ));
-            }
-            if !sh.inbox.is_empty() {
-                s.push_str(&format!("inbox pending {}\n", sh.inbox.len()));
-            }
-        }
-        s
-    }
-
-    fn completed(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|sh| sh.host.total_issued() - sh.host.outstanding())
-            .sum()
-    }
-
-    fn outstanding(&self) -> u64 {
-        self.shards.iter().map(|sh| sh.host.outstanding()).sum()
-    }
-
-    /// Fleet-wide forward-progress check (same contract as the
-    /// single-system watchdog; the violation lands on cube 0's host
-    /// sanitizer so the merged report carries exactly one dump).
-    fn watchdog_check(&mut self, now: Time) {
-        let Some(mut wd) = self.watchdog.take() else {
-            return;
-        };
-        let completed = self.completed();
-        if completed != wd.last_completed || self.outstanding() == 0 {
-            wd.last_completed = completed;
-            wd.last_progress = now;
-        } else if !wd.tripped && now >= wd.last_progress && now.since(wd.last_progress) >= wd.span {
-            wd.tripped = true;
-            let detail = format!(
-                "no retirement for {} with {} outstanding\n{}",
-                now.since(wd.last_progress),
-                self.outstanding(),
-                self.diagnostic_dump(),
-            );
-            self.shards[0].host.sanitizer_mut().note_violation(
-                ViolationClass::Watchdog,
-                now,
-                detail,
-            );
-        }
-        self.watchdog = Some(wd);
+        wedge_dump(&self.shards, &self.topo, self.now)
     }
 
     /// Advances every component until no event at or before `end`
-    /// remains; per-cube thermal spikes act as barriers exactly as in
-    /// [`crate::System::step_until`].
+    /// remains. Installed thermal spikes act as barriers: the system
+    /// advances exactly to each spike, evaluates the failure policy
+    /// against that cube's write history, and (on shutdown) executes the
+    /// recovery cycle before continuing.
     pub fn step_until(&mut self, end: Time) {
         while let Some(&(at, surface_c, cube)) = self.thermal_spikes.first() {
             if at > end {
@@ -1425,6 +1490,9 @@ impl<B: MemoryBackend> ChainSystem<B> {
         self.step_events_until(end);
     }
 
+    /// Evaluates one thermal spike against the failure policy. The
+    /// write limit applies as soon as the cube has completed any write —
+    /// the paper's ~10 °C earlier write-workload shutdowns.
     fn apply_thermal_spike(&mut self, cube: usize, at: Time, surface_c: f64) {
         let writes = self.shards[cube].device.core_stats().writes_completed > 0;
         match self.policy.check(surface_c, writes) {
@@ -1434,9 +1502,11 @@ impl<B: MemoryBackend> ChainSystem<B> {
         }
     }
 
-    /// One cube's live shutdown/recovery cycle; only that cube's host
-    /// replays its in-flight window (remote requesters rely on their
-    /// robustness layer).
+    /// One cube's live shutdown/recovery cycle: its device halts and
+    /// forgets everything (in-flight packets, queue contents, DRAM data),
+    /// the timed recovery sequence elapses, and that cube's host replays
+    /// its in-flight window from the resume instant (remote requesters
+    /// rely on their robustness layer).
     fn thermal_shutdown(&mut self, cube: usize, at: Time, surface_c: f64) {
         let mut steps = Vec::new();
         let mut resume = at;
@@ -1447,24 +1517,24 @@ impl<B: MemoryBackend> ChainSystem<B> {
         }
         self.shards[cube].device.reset_after_shutdown(resume);
         let replayed = self.shards[cube].host.reset_for_recovery(resume);
+        // The outage is legal dead time, not a wedge: restart the
+        // forward-progress clock at the resume instant.
         if let Some(wd) = &mut self.watchdog {
             wd.last_progress = resume;
         }
         self.now = self.now.max(at);
-        self.recoveries.push((
+        self.recoveries.push(RecoveryRecord {
             cube,
-            RecoveryRecord {
-                shutdown_at: at,
-                surface_c,
-                steps,
-                resume_at: resume,
-                replayed,
-            },
-        ));
+            shutdown_at: at,
+            surface_c,
+            steps,
+            resume_at: resume,
+            replayed,
+        });
     }
 
-    /// The event-pump core. One cube runs the exact [`crate::System`]
-    /// loop; more cubes run the conservative epoch scheduler.
+    /// The event-pump core: the single-cube pump for one cube, the
+    /// conservative epoch scheduler for more.
     fn step_events_until(&mut self, end: Time) {
         if self.shards.len() == 1 {
             self.step_single_until(end);
@@ -1473,12 +1543,19 @@ impl<B: MemoryBackend> ChainSystem<B> {
         }
     }
 
-    /// The single-cube pump: statement for statement the
-    /// [`crate::System::step_events_until`] loop (there are no ports),
-    /// which is what makes single-cube runs bit-identical.
+    /// The single-cube pump: at every instant with a host or device
+    /// event, host first, then device, stall credits and samples. It has
+    /// no ports, mailbox or epochs, so it does none of that bookkeeping.
     fn step_single_until(&mut self, end: Time) {
+        let ChainSystem {
+            topo,
+            shards,
+            now,
+            watchdog,
+            ..
+        } = self;
+        let sh = &mut shards[0];
         loop {
-            let sh = &mut self.shards[0];
             let t = match (sh.host.next_time(), sh.device.next_time()) {
                 (Some(h), Some(d)) => h.min(d),
                 (Some(h), None) => h,
@@ -1493,14 +1570,13 @@ impl<B: MemoryBackend> ChainSystem<B> {
             {
                 let CubeShard {
                     idx,
-                    topo,
                     host,
                     device,
                     ports,
                     outbox,
                     hop_tracer,
                     ..
-                } = sh;
+                } = &mut *sh;
                 let mut sink = ShardSink {
                     shard: *idx,
                     topo,
@@ -1511,13 +1587,11 @@ impl<B: MemoryBackend> ChainSystem<B> {
                 };
                 host.advance_instant(t, &mut sink);
             }
-            let mut outputs = std::mem::take(&mut sh.outputs);
-            outputs.clear();
-            sh.device.advance_instant(t, &mut outputs);
-            for o in &outputs {
+            sh.outputs.clear();
+            sh.device.advance_instant(t, &mut sh.outputs);
+            for o in &sh.outputs {
                 sh.host.receive_response(o.resp, o.at);
             }
-            sh.outputs = outputs;
             if sh.host.any_node_stalled() {
                 for l in 0..sh.links {
                     let free = sh.device.free_slots(l);
@@ -1526,23 +1600,23 @@ impl<B: MemoryBackend> ChainSystem<B> {
                     }
                 }
             }
-            if let Some(mut smp) = sh.sampler.take() {
+            if let Some(smp) = &mut sh.sampler {
                 while let Some(due) = smp.due_before(t) {
-                    sh.host.sample_metrics(due, &mut smp);
-                    sh.device.sample_metrics(due, &mut smp);
+                    sh.host.sample_metrics(due, smp);
+                    sh.device.sample_metrics(due, smp);
                     smp.advance();
                 }
-                sh.sampler = Some(smp);
             }
             sh.local_now = t;
-            self.now = t;
-            self.watchdog_check(t);
+            *now = t;
+            watchdog_check(watchdog, std::slice::from_mut(sh), topo, t);
         }
-        self.now = self.now.max(end);
+        *now = (*now).max(end);
         // A wedged system can drain both event queues while requests are
-        // still outstanding: the loop above exits immediately, so the
-        // watchdog must also see the end-of-step instant.
-        self.watchdog_check(self.now);
+        // still outstanding (e.g. a link that never grants credit): the
+        // loop above exits immediately, so the watchdog must also see the
+        // end-of-step instant.
+        watchdog_check(watchdog, shards, topo, *now);
     }
 
     /// The multi-cube pump: lockstep epochs bounded by the global
@@ -1595,10 +1669,10 @@ impl<B: MemoryBackend> ChainSystem<B> {
                 prof.record_epoch(next, window, &samples);
             }
             self.now = self.now.max(next);
-            self.watchdog_check(self.now);
+            watchdog_check(&mut self.watchdog, &mut self.shards, &self.topo, self.now);
         }
         self.now = self.now.max(end);
-        self.watchdog_check(self.now);
+        watchdog_check(&mut self.watchdog, &mut self.shards, &self.topo, self.now);
     }
 
     /// Routes every envelope emitted during the last epoch into its
@@ -1627,7 +1701,7 @@ impl<B: MemoryBackend> ChainSystem<B> {
             }
             let spike = self.thermal_spikes.first().map(|&(t, _, _)| t);
             let next = if self.shards.len() == 1 {
-                // The exact single-system jump computation.
+                // The single-cube pump looks at the host and device only.
                 let sh = &self.shards[0];
                 [sh.host.next_time(), sh.device.next_time(), spike]
                     .into_iter()

@@ -8,7 +8,7 @@
 use hmc_core::hmc_host::Workload;
 use hmc_core::hmc_types::{RequestKind, RequestSize, Time, TimeDelta};
 use hmc_core::sim_engine::ViolationClass;
-use hmc_core::{System, SystemConfig};
+use hmc_core::{ChainSystem, System, SystemConfig, Topology};
 
 /// Drives `sys` with full-scale read traffic for `span`.
 fn drive(sys: &mut System, span: TimeDelta) {
@@ -67,6 +67,37 @@ fn wedged_device_trips_watchdog_with_diagnostic_dump() {
     // The violation carries the full diagnostic dump for post-mortem.
     assert!(v.detail.contains("waiting_credit"), "detail: {}", v.detail);
     assert!(!report.is_clean());
+}
+
+#[test]
+fn wedged_chain_dump_shows_credits_per_link() {
+    // The same 10 ms tRAS wedge on both cubes of a chain: the fleet-wide
+    // watchdog's dump must name the stalled hosts and, per cube, the
+    // link credits the wedged devices still hold.
+    let mut cfg = SystemConfig::default();
+    cfg.mem.dram.t_ras = TimeDelta::from_ms(10);
+    let mut sys = ChainSystem::new(cfg, Topology::chain(2));
+    sys.enable_sanitizer_with_span(TimeDelta::from_us(50));
+    sys.apply_workload(&Workload::full_scale(
+        RequestKind::ReadOnly,
+        RequestSize::MAX,
+    ));
+    sys.start(Time::ZERO);
+    sys.step_until(Time::ZERO + TimeDelta::from_us(200));
+
+    let report = sys.sanitizer_report();
+    let v = report
+        .violations()
+        .iter()
+        .find(|v| v.class == ViolationClass::Watchdog)
+        .expect("no forward progress must trip the watchdog");
+    assert!(v.detail.contains("waiting_credit"), "detail: {}", v.detail);
+    assert_eq!(
+        v.detail.matches("credits in use per link").count(),
+        2,
+        "one credit line per cube: {}",
+        v.detail
+    );
 }
 
 #[test]

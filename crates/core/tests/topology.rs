@@ -1,11 +1,11 @@
 //! Topology regression tests.
 //!
-//! The single-cube [`ChainSystem`] claims to execute the *exact* event
-//! interleaving of [`System`] — these tests pin that claim to the bit
-//! (`f64::to_bits` on every derived measurement), pin the multi-cube
-//! pump to recorded fingerprints at every cube count, and pin it to
-//! deterministic re-execution under an adverse (noisy-link,
-//! sanitizer-armed) configuration.
+//! A [`System`] is a one-cube [`ChainSystem`]. These tests pin one-cube
+//! runs of both types to fingerprints recorded when `System` still had
+//! an event pump of its own (`f64::to_bits` on every derived
+//! measurement), pin the multi-cube pump to recorded fingerprints at
+//! every cube count, and pin it to deterministic re-execution under an
+//! adverse (noisy-link, sanitizer-armed) configuration.
 
 use hmc_core::hmc_types::{RequestKind, RequestSize, Time, TimeDelta};
 use hmc_core::topology::{ChainSystem, Topology};
@@ -32,12 +32,16 @@ struct Fingerprint {
     dev_writes: u64,
     dev_bytes_down: u64,
     dev_activations: u64,
+    dev_retries: u64,
     events: u64,
     now_ps: u64,
 }
 
-fn run_system(cfg: &SystemConfig, w: &Workload) -> Fingerprint {
+fn run_system(cfg: &SystemConfig, w: &Workload, faults: Option<&FaultScenario>) -> Fingerprint {
     let mut sys = System::new(cfg.clone());
+    if let Some(scenario) = faults {
+        sys.install_faults(scenario);
+    }
     sys.host_mut().apply_workload(w);
     sys.host_mut().start(Time::ZERO);
     sys.step_until(Time::ZERO + WARMUP);
@@ -57,13 +61,17 @@ fn run_system(cfg: &SystemConfig, w: &Workload) -> Fingerprint {
         dev_writes: d.writes_completed,
         dev_bytes_down: d.bytes_down,
         dev_activations: d.bank_activations,
+        dev_retries: d.link_retries,
         events: sys.events_processed(),
         now_ps: sys.now().as_ps(),
     }
 }
 
-fn run_chain(cfg: &SystemConfig, w: &Workload) -> Fingerprint {
+fn run_chain(cfg: &SystemConfig, w: &Workload, faults: Option<&FaultScenario>) -> Fingerprint {
     let mut sys = ChainSystem::new(cfg.clone(), Topology::single());
+    if let Some(scenario) = faults {
+        sys.install_faults(0, scenario);
+    }
     sys.host_mut(0).apply_workload(w);
     sys.host_mut(0).start(Time::ZERO);
     sys.step_until(Time::ZERO + WARMUP);
@@ -83,9 +91,39 @@ fn run_chain(cfg: &SystemConfig, w: &Workload) -> Fingerprint {
         dev_writes: d.writes_completed,
         dev_bytes_down: d.bytes_down,
         dev_activations: d.bank_activations,
+        dev_retries: d.link_retries,
         events: sys.events_processed(),
         now_ps: sys.now().as_ps(),
     }
+}
+
+/// `(FNV-1a 64, byte length)` of the `Debug` string of one-cube
+/// [`Fingerprint`]s, recorded when `System` ran its own event pump: the
+/// three workloads of [`single_cube_chain_is_bit_identical_to_system`],
+/// the salted run, and the noisy-link run.
+const ONE_CUBE_PINS: [(u64, usize); 5] = [
+    (0x3308_8ab6_3d26_c3bf, 330),
+    (0xc1d0_2e12_7537_f5d8, 334),
+    (0x952c_b634_1fe8_8040, 268),
+    (0x9f29_f637_699e_9c5d, 330),
+    (0x965b_7e63_1044_51bf, 331),
+];
+
+/// Runs `w` on a one-cube `System` and a one-cube `ChainSystem` and
+/// checks both against the recorded pin.
+fn check_one_cube(
+    cfg: &SystemConfig,
+    w: &Workload,
+    faults: Option<&FaultScenario>,
+    want: (u64, usize),
+) -> Fingerprint {
+    let sys = run_system(cfg, w, faults);
+    let chain = run_chain(cfg, w, faults);
+    for (name, fp) in [("System", &sys), ("ChainSystem", &chain)] {
+        let got = pin::fingerprint(&format!("{fp:?}"));
+        assert_eq!(got, want, "{name} drifted from the recorded run: {fp:?}");
+    }
+    sys
 }
 
 #[test]
@@ -98,77 +136,52 @@ fn single_cube_chain_is_bit_identical_to_system() {
         Workload::read_stream(512, RequestSize::new(32).expect("size")),
     ];
     let cfg = SystemConfig::default();
-    for w in &workloads {
-        let a = run_system(&cfg, w);
-        let b = run_chain(&cfg, w);
-        assert_eq!(a, b, "single-cube chain diverged from System for {w:?}");
+    for (w, &want) in workloads.iter().zip(&ONE_CUBE_PINS) {
+        let fp = check_one_cube(&cfg, w, None, want);
         // Streams finish inside the warmup, so only the continuous
         // workloads must show traffic in the measurement window; the
         // stream still pins event counts and the final clock.
         if matches!(w, Workload::Continuous { .. }) {
-            assert!(a.reads_completed > 0, "workload produced no traffic");
+            assert!(fp.reads_completed > 0, "workload produced no traffic");
         }
-        assert!(a.events > 0, "no events processed");
+        assert!(fp.events > 0, "no events processed");
     }
 }
 
 #[test]
 fn single_cube_chain_honours_the_host_rng_salt() {
-    // A reseeded host must draw the same streams in a one-cube chain as
-    // in the single system: the chain mixes its per-cube salt into the
-    // configured one instead of replacing it.
+    // A reseeded host must draw the recorded streams in both one-cube
+    // types: the chain mixes its per-cube salt into the configured one
+    // instead of replacing it.
     let w = Workload::full_scale(RequestKind::ReadOnly, RequestSize::new(128).expect("size"));
     let mut cfg = SystemConfig::default();
     cfg.host.rng_salt = 0x5EED_C4A1;
-    let salted = run_system(&cfg, &w);
+    let salted = check_one_cube(&cfg, &w, None, ONE_CUBE_PINS[3]);
     assert_ne!(
         salted,
-        run_system(&SystemConfig::default(), &w),
+        run_system(&SystemConfig::default(), &w, None),
         "the salt never reached the generators — test is vacuous"
-    );
-    assert_eq!(
-        salted,
-        run_chain(&cfg, &w),
-        "the chain dropped the host salt"
     );
 }
 
 #[test]
 fn single_cube_chain_matches_system_under_noisy_link() {
-    // The retry path must also be bit-identical: same BER draws, same
-    // replay schedule. noisy-link arms BER 1e-6 on both links at t=0.
+    // The retry path must also reproduce the recorded run: same BER
+    // draws, same replay schedule. noisy-link arms BER 1e-6 on both
+    // links at t=0.
     let scenario = FaultScenario::builtin("noisy-link").expect("builtin scenario");
     let w = Workload::full_scale(RequestKind::ReadOnly, RequestSize::new(128).expect("size"));
-
-    let mut sys = System::new(SystemConfig::default());
-    sys.install_faults(&scenario);
-    sys.host_mut().apply_workload(&w);
-    sys.host_mut().start(Time::ZERO);
-    sys.step_until(Time::ZERO + WINDOW);
-
-    let mut chain = ChainSystem::new(SystemConfig::default(), Topology::single());
-    chain.install_faults(0, &scenario);
-    chain.host_mut(0).apply_workload(&w);
-    chain.host_mut(0).start(Time::ZERO);
-    chain.step_until(Time::ZERO + WINDOW);
-
+    let fp = check_one_cube(
+        &SystemConfig::default(),
+        &w,
+        Some(&scenario),
+        ONE_CUBE_PINS[4],
+    );
     assert!(
-        sys.device().stats().link_retries > 0,
+        fp.dev_retries > 0,
         "scenario injected no retries — test is vacuous"
     );
-    assert_eq!(
-        sys.device().stats().link_retries,
-        chain.device(0).stats().link_retries
-    );
-    assert_eq!(
-        sys.host().stats().reads_completed,
-        chain.host_stats().reads_completed
-    );
-    assert_eq!(sys.events_processed(), chain.events_processed());
 }
-
-/// Drives a two-cube chain under the noisy-link scenario on both cubes
-/// with the sanitizer armed, and returns its deterministic surface.
 fn run_noisy_pair() -> (String, u64, u64, u64) {
     let mut sys = ChainSystem::new(SystemConfig::default(), Topology::chain(2));
     sys.enable_sanitizer();
