@@ -84,17 +84,17 @@ fn main() {
         "Baseline & ablations",
         &[
             Comparison::range(
-                "HMC unloaded latency premium over DDR",
-                "packet interface costs ~10x unloaded",
+                "HMC unloaded latency over DDR, same host",
+                "packet interface costs latency",
                 c128.hmc_unloaded_ns / c128.ddr_unloaded_ns,
                 "x",
-                5.0,
-                25.0,
+                1.05,
+                3.0,
             ),
             Comparison::range(
-                "HMC in-cube share over one DDR access",
-                "≈2x a closed-page DRAM access",
-                c128.hmc_in_cube_ns / c128.ddr_unloaded_ns,
+                "HMC in-cube share over DDR in-device share",
+                "≈2x a typical DRAM access",
+                c128.hmc_in_cube_ns / c128.ddr_in_device_ns,
                 "x",
                 1.0,
                 6.0,

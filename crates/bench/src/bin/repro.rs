@@ -71,7 +71,7 @@ use hmc_core::hmc_host::{OpenLoopConfig, ShedPolicy, Workload};
 use hmc_core::hmc_types::CubeInterleave;
 use hmc_core::measure::{run_backend_measurement, BackendMeasurement, MeasureConfig};
 use hmc_core::mem_backend::BackendKind;
-use hmc_core::observe::{run_window_observed, run_window_observed_backend};
+use hmc_core::observe::run_window_observed;
 use hmc_core::topology::Topology;
 use hmc_core::{JsonReport, System, SystemBuilder, SystemConfig};
 use hmc_types::packet::{OpKind, TransactionSizes};
@@ -428,9 +428,7 @@ fn write_artifact<R: JsonReport + ?Sized>(report: &R, path: &str) {
 
 /// Runs a traced full-scale window on the selected backend preset and
 /// writes the requested exports: Chrome trace-event JSON and/or the
-/// sampled gauge series. The default `hmc` preset takes the concrete
-/// [`System`] path (byte-identical artifacts across refactors); other
-/// presets go through the generic backend build.
+/// sampled gauge series.
 fn capture_observed(
     cfg: &SystemConfig,
     kind: BackendKind,
@@ -442,11 +440,7 @@ fn capture_observed(
         RequestSize::new(64).expect("valid"),
     );
     let span = TimeDelta::from_us(50);
-    let obs = if kind == BackendKind::Hmc {
-        run_window_observed(cfg, &workload, span, 101, TimeDelta::from_us(1))
-    } else {
-        run_window_observed_backend(cfg, kind, &workload, span, 101, TimeDelta::from_us(1))
-    };
+    let obs = run_window_observed(cfg, kind, &workload, span, 101, TimeDelta::from_us(1));
     if let Some(path) = trace_out {
         write_artifact(&obs.report, path);
     }

@@ -17,7 +17,7 @@
 //!
 //! [`SystemBuilder::backend`]: crate::builder::SystemBuilder::backend
 
-use ddr_baseline::{DdrConfig, DdrDevice, DdrDeviceConfig};
+use ddr_baseline::{DdrDevice, DdrDeviceConfig};
 use hmc_mem::{HbmConfig, HbmDevice, HmcDevice};
 use hmc_types::{HmcSpec, HmcVersion, LinkConfig, MemoryRequest, Time};
 use mem_backend::{AddressLayout, BackendKind, BackendOutput, CoreStats, MemoryBackend};
@@ -194,14 +194,10 @@ pub fn apply_preset(kind: BackendKind, cfg: &mut SystemConfig) {
 pub fn instantiate(kind: BackendKind, cfg: &SystemConfig) -> AnyBackend {
     match kind {
         BackendKind::Hmc | BackendKind::HmcGen3 => AnyBackend::Hmc(HmcDevice::new(cfg.mem.clone())),
-        BackendKind::Ddr3_1600 => {
-            let ddr = DdrConfig::preset("ddr3-1600").expect("ddr3-1600 is a known preset");
-            AnyBackend::Ddr(DdrDevice::new(DdrDeviceConfig {
-                ddr,
-                num_ports: cfg.host.links.num_links() as usize,
-                ..DdrDeviceConfig::default()
-            }))
-        }
+        BackendKind::Ddr3_1600 => AnyBackend::Ddr(DdrDevice::new(DdrDeviceConfig {
+            num_ports: cfg.host.links.num_links() as usize,
+            ..DdrDeviceConfig::default()
+        })),
         BackendKind::Hbm => AnyBackend::Hbm(HbmDevice::new(HbmConfig {
             spec: cfg.mem.spec,
             mapping: cfg.mem.mapping,

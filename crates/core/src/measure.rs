@@ -177,6 +177,8 @@ pub struct BackendMeasurement {
     pub events: u64,
     /// Requests completed during the window.
     pub completed: u64,
+    /// Payload bytes the device read during the window.
+    pub data_read_bytes: u64,
 }
 
 /// Measures one warm-up + window cycle on any backend, sampling the
@@ -193,7 +195,7 @@ pub fn run_backend_measurement<B: MemoryBackend>(
     sys.step_until(Time::ZERO + mc.warmup);
     sys.host_mut().reset_stats();
     let events_before = sys.device().events_processed();
-    let completed_before = sys.device().core_stats().completed();
+    let core_before = sys.device().core_stats();
     let end = Time::ZERO + mc.warmup + mc.window;
     let slice = mc.window / 256;
     let mut peak = 0usize;
@@ -203,6 +205,7 @@ pub fn run_backend_measurement<B: MemoryBackend>(
         peak = peak.max(sys.device().channels_in_flight(sys.now()));
     }
     let host = sys.host().stats();
+    let core = sys.device().core_stats();
     BackendMeasurement {
         backend: sys.device().label(),
         bandwidth_gbs: host.bandwidth_gbs(mc.window),
@@ -214,14 +217,23 @@ pub fn run_backend_measurement<B: MemoryBackend>(
             .map_or(0.0, |d| d.as_ns_f64()),
         peak_channels: peak,
         events: sys.device().events_processed() - events_before,
-        completed: sys.device().core_stats().completed() - completed_before,
+        completed: core.completed() - core_before.completed(),
+        data_read_bytes: core.data_read_bytes - core_before.data_read_bytes,
     }
 }
 
 /// Runs a [`Workload::Stream`] to completion on a fresh system and
 /// returns the latency histogram plus integrity-failure count.
 pub fn run_stream(cfg: &SystemConfig, workload: &Workload) -> (Histogram, u64) {
-    let mut sys = SystemBuilder::new(cfg.clone()).build();
+    run_stream_on(SystemBuilder::new(cfg.clone()).build(), workload)
+}
+
+/// [`run_stream`] on a system the caller already built — any backend,
+/// e.g. a [`SystemBuilder::backend`] preset through `build_any`.
+pub fn run_stream_on<B: MemoryBackend>(
+    mut sys: System<B>,
+    workload: &Workload,
+) -> (Histogram, u64) {
     sys.host_mut().apply_workload(workload);
     sys.host_mut().start(Time::ZERO);
     let drained = sys.run_until_idle(TimeDelta::from_ms(100));

@@ -259,28 +259,11 @@ pub struct ObservedWindow {
     pub metrics: MetricsSampler,
 }
 
-/// Runs a continuous workload for `span` with lifecycle tracing (one
-/// request in `sample_every` kept in the event log) and periodic gauge
-/// sampling every `metrics_period`. This is what `repro sweep trace` and
-/// `repro sweep metrics` capture.
+/// Runs a continuous workload for `span` on the `kind` backend preset,
+/// with lifecycle tracing (one request in `sample_every` kept in the
+/// event log) and periodic gauge sampling every `metrics_period`. This
+/// is what `repro sweep trace` and `repro sweep metrics` capture.
 pub fn run_window_observed(
-    cfg: &SystemConfig,
-    workload: &Workload,
-    span: TimeDelta,
-    sample_every: u64,
-    metrics_period: TimeDelta,
-) -> ObservedWindow {
-    let sys = SystemBuilder::new(cfg.clone())
-        .tracing(sample_every)
-        .metrics(metrics_period)
-        .build();
-    observe_window_on(sys, workload, span)
-}
-
-/// [`run_window_observed`] against a selected backend preset: the same
-/// traced + gauge-sampled window, built through
-/// [`SystemBuilder::backend`] so any technology can be captured.
-pub fn run_window_observed_backend(
     cfg: &SystemConfig,
     kind: BackendKind,
     workload: &Workload,
@@ -288,21 +271,11 @@ pub fn run_window_observed_backend(
     sample_every: u64,
     metrics_period: TimeDelta,
 ) -> ObservedWindow {
-    let sys = SystemBuilder::new(cfg.clone())
+    let mut sys = SystemBuilder::new(cfg.clone())
         .backend(kind)
         .tracing(sample_every)
         .metrics(metrics_period)
         .build_any();
-    observe_window_on(sys, workload, span)
-}
-
-/// The shared window body: run the workload for `span` and package the
-/// merged trace, gauge stream, and latency histogram.
-fn observe_window_on<B: MemoryBackend>(
-    mut sys: System<B>,
-    workload: &Workload,
-    span: TimeDelta,
-) -> ObservedWindow {
     sys.host_mut().apply_workload(workload);
     sys.host_mut().start(Time::ZERO);
     sys.run_for(span);
@@ -593,6 +566,7 @@ mod tests {
     fn window_capture_exports_valid_trace_and_metrics() {
         let obs = run_window_observed(
             &SystemConfig::default(),
+            BackendKind::Hmc,
             &Workload::full_scale(RequestKind::ReadModifyWrite, RequestSize::new(64).unwrap()),
             TimeDelta::from_us(20),
             8,

@@ -1,7 +1,7 @@
-//! Event-driven DDR DIMM backend: the analytic [`DdrDimm`] timing model
-//! rewritten as a [`MemoryBackend`] so the conventional baseline runs on
-//! the **full host path** — admission, tags, reordering, retries — not
-//! just closed-form formulas.
+//! Event-driven DDR DIMM backend: DDR3 timing behind the
+//! [`MemoryBackend`] contract, so the conventional baseline runs on the
+//! **full host path** — admission, tags, reordering, retries — exactly
+//! like the HMC device it is compared against.
 //!
 //! The topology is the honest conventional contrast to HMC: every host
 //! port feeds the *same* memory channel. One controller, a handful of
@@ -10,11 +10,9 @@
 //! same host traffic with 16–64 vaults; this device answers it with one
 //! bus — that asymmetry is Figure 9's entire story.
 //!
-//! Timing reuses [`DdrConfig`] verbatim (same tRCD/tCL/tRP/tRAS, burst
-//! time, controller overhead, and page policy as the analytic model), so
-//! latency numbers line up with the closed-form baseline experiments.
-//!
-//! [`DdrDimm`]: crate::DdrDimm
+//! Banks run an open-page policy with the [`DdrConfig`] timings: a row
+//! hit pays tCL, a miss pays (tRP +) tRCD + tCL, and every access then
+//! waits its turn on the shared data bus.
 
 use std::collections::BTreeMap;
 
@@ -23,13 +21,12 @@ use hmc_types::{MemoryRequest, MemoryResponse, Time, TimeDelta};
 use mem_backend::{AddressLayout, BackendOutput, CoreStats, MemoryBackend};
 use sim_engine::{BoundedQueue, EventQueue, MetricsSampler, Sanitizer, Tracer};
 
-use crate::{DdrConfig, DdrPagePolicy};
+use crate::DdrConfig;
 
 /// Configuration of the event-driven DIMM backend.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DdrDeviceConfig {
-    /// DRAM timing, geometry, and page policy (shared with the analytic
-    /// [`DdrDimm`](crate::DdrDimm) model).
+    /// DRAM timing and geometry.
     pub ddr: DdrConfig,
     /// Host-facing ports. All of them feed the one channel.
     pub num_ports: usize,
@@ -135,7 +132,7 @@ impl DdrDevice {
         &self.cfg
     }
 
-    /// Row hits observed (open-page policy only).
+    /// Row hits observed.
     pub fn row_hits(&self) -> u64 {
         self.row_hits
     }
@@ -145,7 +142,10 @@ impl DdrDevice {
         self.activations
     }
 
-    fn decode(&self, addr: u64) -> (usize, u64) {
+    /// Bank and row of an address: rows are interleaved across banks so
+    /// consecutive rows land in different banks, while accesses within a
+    /// row stay in one bank.
+    pub(crate) fn decode(&self, addr: u64) -> (usize, u64) {
         let row_index = addr / self.cfg.ddr.row_bytes;
         (
             usize::try_from(row_index % self.cfg.ddr.banks as u64).expect("bank index fits usize"),
@@ -173,9 +173,9 @@ impl DdrDevice {
         }
     }
 
-    /// Issues the head of a bank's queue if the bank is free: the full
-    /// activate/CAS/(precharge) sequence of the analytic model, plus
-    /// serialization on the shared data bus.
+    /// Issues the head of a bank's queue if the bank is free: a CAS on a
+    /// row hit, else (precharge +) activate + CAS, then serialization on
+    /// the shared data bus.
     fn issue(&mut self, b: usize, now: Time) {
         loop {
             if self.banks[b].busy_until > now {
@@ -185,33 +185,21 @@ impl DdrDevice {
                 break;
             };
             let (_, row) = self.decode(req.addr.as_u64());
-            let (to_data, occupy) = match self.cfg.ddr.policy {
-                DdrPagePolicy::Closed => {
-                    self.activations += 1;
-                    self.banks[b].open_row = None;
-                    (
-                        self.cfg.ddr.t_rcd + self.cfg.ddr.t_cl,
-                        self.cfg.ddr.t_ras + self.cfg.ddr.t_rp,
-                    )
-                }
-                DdrPagePolicy::Open => {
-                    if self.banks[b].open_row == Some(row) {
-                        self.row_hits += 1;
-                        (self.cfg.ddr.t_cl, self.cfg.ddr.burst_time)
-                    } else {
-                        let pre = if self.banks[b].open_row.is_some() {
-                            self.cfg.ddr.t_rp
-                        } else {
-                            TimeDelta::ZERO
-                        };
-                        self.activations += 1;
-                        self.banks[b].open_row = Some(row);
-                        (
-                            pre + self.cfg.ddr.t_rcd + self.cfg.ddr.t_cl,
-                            pre + self.cfg.ddr.t_rcd,
-                        )
-                    }
-                }
+            // (latency to first data, how long the bank refuses new commands)
+            let ddr = &self.cfg.ddr;
+            let (to_data, occupy) = if self.banks[b].open_row == Some(row) {
+                self.row_hits += 1;
+                // Back-to-back CAS: bank ready again after one burst.
+                (ddr.t_cl, ddr.burst_time)
+            } else {
+                let pre = if self.banks[b].open_row.is_some() {
+                    ddr.t_rp
+                } else {
+                    TimeDelta::ZERO
+                };
+                self.activations += 1;
+                self.banks[b].open_row = Some(row);
+                (pre + ddr.t_rcd + ddr.t_cl, pre + ddr.t_rcd)
             };
             let bytes = req.size.bytes();
             let bursts = bytes.div_ceil(64).max(1);
@@ -493,6 +481,9 @@ impl MemoryBackend for DdrDevice {
         for q in &mut self.bank_queues {
             q.clear();
         }
+        // The wakes died with the event queue; a stale `wake_at` would
+        // make `arm_wake` believe one is still pending.
+        self.wake_at.iter_mut().for_each(|w| *w = None);
         self.arrival_port.clear();
         self.events.clear();
         self.sanitizer.credit_forget_all();
@@ -523,8 +514,8 @@ mod tests {
 
     #[test]
     fn matches_analytic_unloaded_latency() {
-        // One read through the event path lands at the same 47.5 ns the
-        // analytic model computes: 15 (ctrl) + 27.5 (tRCD+tCL) + 5 (burst).
+        // One read on an idle DIMM lands at the closed-form sum:
+        // 15 (ctrl) + 27.5 (tRCD+tCL) + 5 (burst) = 47.5 ns.
         let mut dev = DdrDevice::new(DdrDeviceConfig::default());
         dev.submit(0, req(0, 0, OpKind::Read), Time::ZERO).unwrap();
         let mut out = Vec::new();
@@ -615,6 +606,28 @@ mod tests {
             (out, dev.core_stats(), dev.events_processed())
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn bank_serves_again_after_thermal_recovery() {
+        // Two reads on bank 0 leave a wake armed for the second one; the
+        // shutdown drops it with the event queue. The bank must still
+        // serve the first request after resume.
+        let mut dev = DdrDevice::new(DdrDeviceConfig::default());
+        let mut out = Vec::new();
+        dev.submit(0, req(0, 0, OpKind::Read), Time::ZERO).unwrap();
+        dev.submit(0, req(1, 64, OpKind::Read), Time::ZERO).unwrap();
+        dev.advance(Time::from_ps(20_000), &mut out);
+        let resume = Time::from_ps(1_000_000);
+        dev.reset_after_shutdown(resume);
+        dev.submit(0, req(2, 0, OpKind::Read), resume).unwrap();
+        dev.advance(Time::from_ps(2_000_000), &mut out);
+        assert_eq!(
+            out.iter().map(|o| o.resp.id.value()).collect::<Vec<_>>(),
+            [2],
+            "pending {}",
+            dev.pending_events()
+        );
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! A DDR3-style DIMM timing model — the synchronous-bus baseline the HMC
-//! results are contrasted against.
+//! A DDR3-style DIMM — the synchronous-bus baseline the HMC results are
+//! contrasted against.
 //!
 //! The paper frames HMC against JEDEC DIMMs: a DIMM has a handful of banks
-//! behind one shared 64-bit data bus, large (2 KB) rows usually managed
-//! with an open-page policy, deterministic access latency, and no
-//! packetization overhead. This model captures exactly those properties so
-//! the harness can measure:
+//! behind one shared 64-bit data bus, large (2 KB) rows managed with an
+//! open-page policy, deterministic access latency, and no packetization
+//! overhead. [`DdrDevice`] models exactly those properties behind the
+//! same [`MemoryBackend`](mem_backend::MemoryBackend) contract as the HMC
+//! device, so the harness can measure, through one host:
 //!
 //! * the **latency premium of HMC's packet-switched interface** (the paper
-//!   estimates the HMC in-cube latency at ≈2× a typical closed-page DRAM
-//!   access);
+//!   estimates the HMC in-cube latency at ≈2× a typical DRAM access);
 //! * the **row-hit benefit of open-page linear access** that HMC's
 //!   closed-page policy deliberately gives up (Figure 13's context);
 //! * the **bandwidth ceiling of a synchronous bus** (12.8 GB/s for
@@ -18,31 +18,41 @@
 //! # Example
 //!
 //! ```
-//! use ddr_baseline::{DdrConfig, DdrDimm};
-//! use hmc_types::Time;
+//! use ddr_baseline::{DdrDevice, DdrDeviceConfig};
+//! use hmc_types::packet::OpKind;
+//! use hmc_types::{
+//!     Address, CubeId, MemoryRequest, PortId, RequestId, RequestSize, Tag, TenantTag, Time,
+//! };
+//! use mem_backend::MemoryBackend;
 //!
-//! let mut dimm = DdrDimm::new(DdrConfig::ddr3_1600());
-//! let done = dimm.access(0x1000, false, 64, Time::ZERO);
-//! assert!(done.as_ns_f64() < 100.0, "one access is tens of ns");
+//! let mut dimm = DdrDevice::new(DdrDeviceConfig::default());
+//! let req = MemoryRequest {
+//!     id: RequestId::new(0),
+//!     port: PortId::new(0),
+//!     tag: Tag::new(0),
+//!     op: OpKind::Read,
+//!     size: RequestSize::new(64)?,
+//!     cube: CubeId::new(0),
+//!     addr: Address::new(0x1000),
+//!     issued_at: Time::ZERO,
+//!     data_token: 0,
+//!     tenant: TenantTag::NONE,
+//! };
+//! dimm.submit(0, req, Time::ZERO).expect("an idle port has credits");
+//! let mut out = Vec::new();
+//! while out.is_empty() {
+//!     let t = dimm.next_time().expect("the read is in flight");
+//!     dimm.advance_instant(t, &mut out);
+//! }
+//! assert!(out[0].at.as_ns_f64() < 100.0, "one access is tens of ns");
+//! # Ok::<(), hmc_types::HmcError>(())
 //! ```
 
 pub mod device;
 
 pub use device::{DdrDevice, DdrDeviceConfig};
 
-use hmc_types::{Time, TimeDelta};
-use sim_engine::Histogram;
-
-/// Row-buffer policy of the DIMM controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DdrPagePolicy {
-    /// Leave rows open (the common DIMM policy).
-    #[default]
-    Open,
-    /// Precharge after every access (for apples-to-apples comparison with
-    /// HMC).
-    Closed,
-}
+use hmc_types::TimeDelta;
 
 /// DDR timing and geometry.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,30 +67,14 @@ pub struct DdrConfig {
     pub t_cl: TimeDelta,
     /// Precharge.
     pub t_rp: TimeDelta,
-    /// Row-active minimum.
-    pub t_ras: TimeDelta,
     /// Data-bus time per 64 B burst (also the CAS-to-CAS floor).
     pub burst_time: TimeDelta,
     /// Fixed controller/PHY overhead per access (command queueing,
     /// synchronous handshake) — no packetization, so this is small.
     pub controller_overhead: TimeDelta,
-    /// Row-buffer policy.
-    pub policy: DdrPagePolicy,
 }
 
 impl DdrConfig {
-    /// Looks up a configuration by preset label — the same vocabulary the
-    /// backend selector uses (`ddr3-1600`, `ddr3-1600-closed`). All DDR
-    /// configurations flow through these named presets; there are no
-    /// loose constructors.
-    pub fn preset(label: &str) -> Option<Self> {
-        match label {
-            "ddr3-1600" => Some(Self::ddr3_1600()),
-            "ddr3-1600-closed" => Some(Self::ddr3_1600_closed_page()),
-            _ => None,
-        }
-    }
-
     /// DDR3-1600: 11-11-11 timings, 8 banks, 12.8 GB/s bus.
     pub fn ddr3_1600() -> Self {
         DdrConfig {
@@ -89,19 +83,9 @@ impl DdrConfig {
             t_rcd: TimeDelta::from_ps(13_750),
             t_cl: TimeDelta::from_ps(13_750),
             t_rp: TimeDelta::from_ps(13_750),
-            t_ras: TimeDelta::from_ps(35_000),
             // 64 B burst over a 64-bit bus at 1600 MT/s: 5 ns.
             burst_time: TimeDelta::from_ns(5),
             controller_overhead: TimeDelta::from_ns(15),
-            policy: DdrPagePolicy::Open,
-        }
-    }
-
-    /// The same device under a closed-page policy.
-    pub fn ddr3_1600_closed_page() -> Self {
-        DdrConfig {
-            policy: DdrPagePolicy::Closed,
-            ..Self::ddr3_1600()
         }
     }
 
@@ -111,169 +95,75 @@ impl DdrConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct DdrBank {
-    busy_until: Time,
-    open_row: Option<u64>,
-}
-
-/// Access statistics of a DIMM run.
-#[derive(Debug, Clone, Default)]
-pub struct DdrStats {
-    /// Accesses served.
-    pub accesses: u64,
-    /// Row-buffer hits.
-    pub row_hits: u64,
-    /// Row activations.
-    pub activations: u64,
-    /// Data bytes moved.
-    pub data_bytes: u64,
-    /// Per-access latency (request arrival to data completion).
-    pub latency: Histogram,
-}
-
-impl DdrStats {
-    /// Row-hit rate over all accesses.
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / self.accesses as f64
-        }
-    }
-}
-
-/// The DIMM model: banks behind one shared data bus, served in arrival
-/// order. Command latency pipelines; the data bus and per-bank command
-/// occupancy are the serializing resources.
-#[derive(Debug, Clone)]
-pub struct DdrDimm {
-    cfg: DdrConfig,
-    banks: Vec<DdrBank>,
-    bus_free: Time,
-    stats: DdrStats,
-}
-
-impl DdrDimm {
-    /// Creates an idle DIMM.
-    pub fn new(cfg: DdrConfig) -> Self {
-        DdrDimm {
-            banks: vec![DdrBank::default(); cfg.banks],
-            bus_free: Time::ZERO,
-            stats: DdrStats::default(),
-            cfg,
-        }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &DdrConfig {
-        &self.cfg
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> &DdrStats {
-        &self.stats
-    }
-
-    /// Bank and row of an address: rows are interleaved across banks so
-    /// consecutive rows land in different banks, while accesses within a
-    /// row stay in one bank.
-    fn decode(&self, addr: u64) -> (usize, u64) {
-        let row_index = addr / self.cfg.row_bytes;
-        (
-            (row_index % self.cfg.banks as u64) as usize,
-            row_index / self.cfg.banks as u64,
-        )
-    }
-
-    /// Performs one access arriving at `at`; returns the completion time
-    /// of its data.
-    pub fn access(&mut self, addr: u64, is_write: bool, bytes: u64, at: Time) -> Time {
-        let (bank_idx, row) = self.decode(addr);
-        let bank = &mut self.banks[bank_idx];
-        // Controller overhead is pipelined: it adds latency but does not
-        // occupy the bank.
-        let start = at.max(bank.busy_until);
-        // (latency to first data, how long the bank refuses new commands)
-        let (to_data, occupy) = match self.cfg.policy {
-            DdrPagePolicy::Closed => {
-                self.stats.activations += 1;
-                bank.open_row = None;
-                (
-                    self.cfg.t_rcd + self.cfg.t_cl,
-                    self.cfg.t_ras + self.cfg.t_rp,
-                )
-            }
-            DdrPagePolicy::Open => {
-                if bank.open_row == Some(row) {
-                    self.stats.row_hits += 1;
-                    // Back-to-back CAS: bank ready again after one burst.
-                    (self.cfg.t_cl, self.cfg.burst_time)
-                } else {
-                    let pre = if bank.open_row.is_some() {
-                        self.cfg.t_rp
-                    } else {
-                        TimeDelta::ZERO
-                    };
-                    self.stats.activations += 1;
-                    bank.open_row = Some(row);
-                    (pre + self.cfg.t_rcd + self.cfg.t_cl, pre + self.cfg.t_rcd)
-                }
-            }
-        };
-        let bursts = bytes.div_ceil(64).max(1);
-        let bus_start = (start + self.cfg.controller_overhead + to_data).max(self.bus_free);
-        let done = bus_start + self.cfg.burst_time.saturating_mul(bursts);
-        self.bus_free = done;
-        bank.busy_until = start + occupy;
-        let _ = is_write; // symmetric timing in this baseline
-        self.stats.accesses += 1;
-        self.stats.data_bytes += bytes;
-        self.stats.latency.record(done.since(at));
-        done
-    }
-
-    /// Runs a *dependent* chain of `(addr, is_write, bytes)` requests —
-    /// each issued when the previous one's data returns (pointer-chasing
-    /// semantics; measures unloaded latency). Returns the makespan.
-    pub fn run_trace<I>(&mut self, trace: I) -> TimeDelta
-    where
-        I: IntoIterator<Item = (u64, bool, u64)>,
-    {
-        let mut last = Time::ZERO;
-        for (addr, w, bytes) in trace {
-            last = last.max(self.access(addr, w, bytes, last));
-        }
-        last.since(Time::ZERO)
-    }
-
-    /// Runs an *open-loop* trace with one request arriving every
-    /// `interval` (streaming semantics; measures throughput and loaded
-    /// latency). Returns the makespan.
-    pub fn run_paced<I>(&mut self, trace: I, interval: TimeDelta) -> TimeDelta
-    where
-        I: IntoIterator<Item = (u64, bool, u64)>,
-    {
-        let mut end = Time::ZERO;
-        for (i, (addr, w, bytes)) in trace.into_iter().enumerate() {
-            let at = Time::ZERO + interval.saturating_mul(i as u64);
-            end = end.max(self.access(addr, w, bytes, at));
-        }
-        end.since(Time::ZERO)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hmc_types::packet::OpKind;
+    use hmc_types::{
+        Address, CubeId, MemoryRequest, PortId, RequestId, RequestSize, Tag, TenantTag, Time,
+    };
+    use mem_backend::{BackendOutput, MemoryBackend};
+
+    fn read(id: u64, addr: u64, bytes: u64) -> MemoryRequest {
+        MemoryRequest {
+            id: RequestId::new(id),
+            port: PortId::new(0),
+            tag: Tag::new(0),
+            op: OpKind::Read,
+            size: RequestSize::new(bytes).expect("valid"),
+            cube: CubeId::new(0),
+            addr: Address::new(addr),
+            issued_at: Time::ZERO,
+            data_token: 0,
+            tenant: TenantTag::NONE,
+        }
+    }
+
+    /// Runs the device event by event until one response leaves.
+    fn next_response(dev: &mut DdrDevice) -> BackendOutput {
+        let mut out = Vec::new();
+        while out.is_empty() {
+            let t = dev.next_time().expect("a request is in flight");
+            dev.advance_instant(t, &mut out);
+        }
+        assert_eq!(out.len(), 1, "one request in flight, one response");
+        out.pop().expect("non-empty")
+    }
+
+    /// Runs a *dependent* chain of 64 B reads — each issued when the
+    /// previous one's data returns (pointer-chasing semantics; measures
+    /// unloaded latency). Returns the per-access latencies in ns and the
+    /// makespan.
+    fn chase(dev: &mut DdrDevice, addrs: impl IntoIterator<Item = u64>) -> (Vec<f64>, Time) {
+        let mut at = Time::ZERO;
+        let mut lat = Vec::new();
+        for (i, addr) in addrs.into_iter().enumerate() {
+            dev.submit(0, read(i as u64, addr, 64), at)
+                .expect("an idle port has credits");
+            let done = next_response(dev).at;
+            lat.push(done.since(at).as_ns_f64());
+            at = done;
+        }
+        (lat, at)
+    }
+
+    fn mean(v: &[f64]) -> f64 {
+        v.iter().sum::<f64>() / v.len() as f64
+    }
+
+    fn hit_rate(dev: &DdrDevice) -> f64 {
+        dev.row_hits() as f64 / dev.core_stats().completed() as f64
+    }
 
     #[test]
     fn single_access_latency_tens_of_ns() {
-        let mut d = DdrDimm::new(DdrConfig::ddr3_1600());
-        let done = d.access(0, false, 64, Time::ZERO);
-        // 15 (ctrl) + 27.5 (tRCD+tCL) + 5 (burst) = 47.5 ns.
+        // A 128 B read holds the bus for two bursts:
+        // 15 (ctrl) + 27.5 (tRCD+tCL) + 2 × 5 (burst) = 52.5 ns.
+        let mut d = DdrDevice::new(DdrDeviceConfig::default());
+        d.submit(0, read(0, 0, 128), Time::ZERO).unwrap();
+        let done = next_response(&mut d).at;
         assert!(
-            (done.as_ns_f64() - 47.5).abs() < 0.1,
+            (done.as_ns_f64() - 52.5).abs() < 0.1,
             "{}",
             done.as_ns_f64()
         );
@@ -281,66 +171,56 @@ mod tests {
 
     #[test]
     fn open_page_row_hits_are_fast() {
-        let mut d = DdrDimm::new(DdrConfig::ddr3_1600());
-        let t0 = d.access(0, false, 64, Time::ZERO);
-        let t1 = d.access(64, false, 64, t0);
+        let mut d = DdrDevice::new(DdrDeviceConfig::default());
+        let (lat, _) = chase(&mut d, [0, 64]);
         // Hit: 15 + 13.75 + 5 = 33.75 ns.
-        assert!((t1.since(t0).as_ns_f64() - 33.75).abs() < 0.1);
-        assert_eq!(d.stats().row_hits, 1);
-        assert!(d.stats().hit_rate() > 0.49);
-    }
-
-    #[test]
-    fn closed_page_never_hits() {
-        let mut d = DdrDimm::new(DdrConfig::ddr3_1600_closed_page());
-        let mut at = Time::ZERO;
-        for i in 0..8 {
-            at = d.access(i * 64, false, 64, at);
-        }
-        assert_eq!(d.stats().row_hits, 0);
-        assert_eq!(d.stats().activations, 8);
+        assert!((lat[1] - 33.75).abs() < 0.1, "{}", lat[1]);
+        assert_eq!(d.row_hits(), 1);
+        assert_eq!(d.activations(), 1);
     }
 
     #[test]
     fn linear_beats_random_under_open_page() {
         // Dependent chains: linear walks hit the row buffer and see
         // CAS-only latency; random pointer chasing keeps activating.
-        let cfg = DdrConfig::ddr3_1600();
-        let mut linear = DdrDimm::new(cfg);
-        linear.run_trace((0..2_000u64).map(|i| (i * 64, false, 64)));
-        let mut random = DdrDimm::new(cfg);
+        let mut linear = DdrDevice::new(DdrDeviceConfig::default());
+        let (lin, _) = chase(&mut linear, (0..2_000u64).map(|i| i * 64));
+        let mut random = DdrDevice::new(DdrDeviceConfig::default());
         let mut rng = sim_engine::SplitMix64::new(1);
-        random.run_trace((0..2_000).map(|_| (rng.next_below(1 << 28) * 64, false, 64)));
-        let lin = linear.stats().latency.mean().as_ns_f64();
-        let rnd = random.stats().latency.mean().as_ns_f64();
+        let (rnd, _) = chase(
+            &mut random,
+            (0..2_000).map(|_| rng.next_below(1 << 28) * 64),
+        );
+        let (lin, rnd) = (mean(&lin), mean(&rnd));
         assert!(lin * 1.2 < rnd, "linear {lin} ns vs random {rnd} ns");
-        assert!(linear.stats().hit_rate() > 0.9);
-        assert!(random.stats().hit_rate() < 0.1);
-    }
-
-    #[test]
-    fn linear_equals_random_under_closed_page() {
-        // The HMC argument: closed-page makes locality worthless for
-        // latency — a dependent linear walk pays the same full
-        // activate/CAS/precharge sequence as random pointer chasing.
-        let cfg = DdrConfig::ddr3_1600_closed_page();
-        let mut linear = DdrDimm::new(cfg);
-        linear.run_trace((0..2_000u64).map(|i| (i * 64, false, 64)));
-        let mut random = DdrDimm::new(cfg);
-        let mut rng = sim_engine::SplitMix64::new(1);
-        random.run_trace((0..2_000).map(|_| (rng.next_below(1 << 28) * 64, false, 64)));
-        let lin = linear.stats().latency.mean().as_ns_f64();
-        let rnd = random.stats().latency.mean().as_ns_f64();
-        let ratio = rnd / lin;
-        assert!((0.9..1.1).contains(&ratio), "ratio {ratio}");
+        assert!(hit_rate(&linear) > 0.9);
+        assert!(hit_rate(&random) < 0.1);
     }
 
     #[test]
     fn streaming_bandwidth_near_bus_peak() {
+        // One linear 64 B read offered every burst time; a full port
+        // queue holds the next offer back until a credit frees.
         let cfg = DdrConfig::ddr3_1600();
-        let mut d = DdrDimm::new(cfg);
-        let span = d.run_paced((0..20_000u64).map(|i| (i * 64, false, 64)), cfg.burst_time);
-        let gbs = d.stats().data_bytes as f64 / span.as_secs_f64() / 1e9;
+        let mut d = DdrDevice::new(DdrDeviceConfig::default());
+        let mut out = Vec::new();
+        let mut t = Time::ZERO;
+        for i in 0..20_000u64 {
+            while !d.can_accept(0) {
+                t = t.max(d.next_time().expect("a full queue has work in flight"));
+                d.advance_instant(t, &mut out);
+            }
+            d.submit(0, read(i, i * 64, 64), t).unwrap();
+            t += cfg.burst_time;
+            d.advance(t, &mut out);
+        }
+        while let Some(next) = d.next_time() {
+            d.advance_instant(next, &mut out);
+        }
+        assert_eq!(out.len(), 20_000);
+        let span = out.iter().map(|o| o.at).max().expect("non-empty");
+        let gbs =
+            d.core_stats().data_read_bytes as f64 / span.since(Time::ZERO).as_secs_f64() / 1e9;
         let peak = cfg.peak_bandwidth_bytes_per_sec() / 1e9;
         assert!(gbs > 0.85 * peak, "streaming {gbs} GB/s of peak {peak}");
         assert!(gbs <= peak + 1e-9);
@@ -350,11 +230,11 @@ mod tests {
     fn dependent_chain_is_latency_bound() {
         // Pointer chasing cannot exploit the bus: throughput is one access
         // per round-trip, far below peak.
-        let cfg = DdrConfig::ddr3_1600();
-        let mut d = DdrDimm::new(cfg);
+        let mut d = DdrDevice::new(DdrDeviceConfig::default());
         let mut rng = sim_engine::SplitMix64::new(2);
-        let span = d.run_trace((0..1_000).map(|_| (rng.next_below(1 << 28) * 64, false, 64)));
-        let gbs = d.stats().data_bytes as f64 / span.as_secs_f64() / 1e9;
+        let (_, span) = chase(&mut d, (0..1_000).map(|_| rng.next_below(1 << 28) * 64));
+        let gbs =
+            d.core_stats().data_read_bytes as f64 / span.since(Time::ZERO).as_secs_f64() / 1e9;
         assert!(gbs < 2.0, "dependent chain {gbs} GB/s");
     }
 
@@ -366,22 +246,23 @@ mod tests {
 
     #[test]
     fn bank_interleaving_decodes_rows() {
-        let d = DdrDimm::new(DdrConfig::ddr3_1600());
-        let (b0, r0) = d.decode(0);
-        let (b1, r1) = d.decode(2048);
-        assert_eq!((b0, r0), (0, 0));
-        assert_eq!((b1, r1), (1, 0));
-        let (b8, r8) = d.decode(2048 * 8);
-        assert_eq!((b8, r8), (0, 1));
+        let d = DdrDevice::new(DdrDeviceConfig::default());
+        assert_eq!(d.decode(0), (0, 0));
+        assert_eq!(d.decode(2048), (1, 0));
+        assert_eq!(d.decode(2048 * 8), (0, 1));
     }
 
     #[test]
     fn stats_track_bytes_and_latency() {
-        let mut d = DdrDimm::new(DdrConfig::ddr3_1600());
-        d.access(0, true, 128, Time::ZERO);
-        assert_eq!(d.stats().accesses, 1);
-        assert_eq!(d.stats().data_bytes, 128);
-        assert_eq!(d.stats().latency.count(), 1);
-        assert_eq!(DdrStats::default().hit_rate(), 0.0);
+        let mut d = DdrDevice::new(DdrDeviceConfig::default());
+        let mut w = read(0, 0, 128);
+        w.op = OpKind::Write;
+        d.submit(0, w, Time::ZERO).unwrap();
+        let done = next_response(&mut d);
+        let s = d.core_stats();
+        assert_eq!((s.writes_completed, s.reads_completed), (1, 0));
+        assert_eq!(s.data_write_bytes, 128);
+        assert_eq!(s.bytes_up, 128, "wire traffic is the payload itself");
+        assert!(done.at > Time::ZERO);
     }
 }

@@ -152,6 +152,7 @@ fn double_run_is_bit_identical_every_backend() {
 fn hmc_behind_trait_matches_golden_artifacts() {
     let obs = run_window_observed(
         &SystemConfig::default(),
+        BackendKind::Hmc,
         &Workload::full_scale(
             RequestKind::ReadModifyWrite,
             RequestSize::new(64).expect("valid"),
