@@ -325,7 +325,18 @@ pub trait MemoryBackend: Send + fmt::Debug + 'static {
     /// armed), so between calls [`now`](MemoryBackend::now) may lag the
     /// shard's clock. Implementations must therefore take time from their
     /// arguments (`submit`'s `now`, this `t`), never from their own clock.
-    fn advance_instant(&mut self, t: Time, out: &mut Vec<BackendOutput>);
+    ///
+    /// `t` must be the exact next-event time, so every pending event at or
+    /// before `t` sits at exactly `t`; under that contract the default,
+    /// [`advance(t, ..)`](MemoryBackend::advance), processes exactly this
+    /// instant, including the events its handlers schedule at `t`.
+    fn advance_instant(&mut self, t: Time, out: &mut Vec<BackendOutput>) {
+        debug_assert!(
+            self.next_time().is_none_or(|next| next >= t),
+            "advance_instant needs the exact next-event time"
+        );
+        self.advance(t, out);
+    }
 
     /// Total internal events processed (simulation-throughput metric).
     fn events_processed(&self) -> u64;

@@ -25,6 +25,32 @@ fn bench_event_queue(c: &mut Criterion) {
             black_box(sum)
         })
     });
+    // The hold model: 512 events pending, each pop schedules one event up
+    // to 2 µs ahead, as device events mostly are. The 72-byte payload is
+    // the size of a host or device event, which carries a whole request.
+    c.bench_function("event_queue_hold_u64", |b| {
+        b.iter(|| black_box(hold(100_000, |i| i, |v| *v)))
+    });
+    c.bench_function("event_queue_hold_72B", |b| {
+        b.iter(|| black_box(hold(100_000, |i| [i; 9], |v| v[0] ^ v[8])))
+    });
+}
+
+/// Runs `n` pop-then-push steps of the hold model with payloads built by
+/// `make`, folding every popped payload through `fold`.
+fn hold<P>(n: u64, make: impl Fn(u64) -> P, fold: impl Fn(&P) -> u64) -> u64 {
+    let mut q = EventQueue::with_capacity(1024);
+    let mut rng = SplitMix64::new(7);
+    for i in 0..512 {
+        q.push(Time::from_ps(rng.next_below(2_000_000)), make(i));
+    }
+    let mut sum = 0u64;
+    for _ in 0..n {
+        let (t, v) = q.pop().expect("the hold model never empties");
+        sum = sum.wrapping_add(fold(&v));
+        q.push(t + TimeDelta::from_ps(rng.next_below(2_000_000)), v);
+    }
+    sum
 }
 
 fn bench_full_system(c: &mut Criterion) {

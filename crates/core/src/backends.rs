@@ -95,10 +95,6 @@ impl MemoryBackend for AnyBackend {
         delegate!(self, d => MemoryBackend::advance(d, until, out))
     }
 
-    fn advance_instant(&mut self, t: Time, out: &mut Vec<BackendOutput>) {
-        delegate!(self, d => MemoryBackend::advance_instant(d, t, out))
-    }
-
     fn events_processed(&self) -> u64 {
         delegate!(self, d => MemoryBackend::events_processed(d))
     }

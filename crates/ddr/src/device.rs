@@ -87,7 +87,6 @@ pub struct DdrDevice {
     row_hits: u64,
     activations: u64,
     now: Time,
-    scratch: Vec<(Time, DdrEvent)>,
     tracer: Tracer,
     sanitizer: Sanitizer,
 }
@@ -120,7 +119,6 @@ impl DdrDevice {
             row_hits: 0,
             activations: 0,
             now: Time::ZERO,
-            scratch: Vec::new(),
             tracer: Tracer::new(&hmc_types::trace::Stage::NAMES),
             sanitizer: Sanitizer::new(),
             cfg,
@@ -344,26 +342,6 @@ impl MemoryBackend for DdrDevice {
             self.handle(ev, t, out);
         }
         self.now = self.now.max(until);
-    }
-
-    fn advance_instant(&mut self, t: Time, out: &mut Vec<BackendOutput>) {
-        self.sanitizer
-            .check_queue_bound("ddr events", self.events.len(), self.event_bound, t);
-        let mut batch = std::mem::take(&mut self.scratch);
-        loop {
-            batch.clear();
-            if self.events.pop_until(t, &mut batch) == 0 {
-                break;
-            }
-            for (at, ev) in batch.drain(..) {
-                debug_assert_eq!(at, t, "advance_instant needs the exact next-event time");
-                self.sanitizer.check_event_time(at);
-                self.now = self.now.max(at);
-                self.handle(ev, at, out);
-            }
-        }
-        self.scratch = batch;
-        self.now = self.now.max(t);
     }
 
     fn events_processed(&self) -> u64 {

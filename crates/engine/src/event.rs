@@ -10,6 +10,11 @@
 //! a word-scan plus a tiny in-bucket sort instead of a `log n` chain of
 //! tuple comparisons. Far-future events overflow into a small heap and
 //! migrate into the wheel as simulated time approaches them.
+//!
+//! The wheel orders small keys, not events. Each payload is written once
+//! into a slab slot when it is pushed and taken once when it is popped;
+//! the buckets, the staging buffer and the overflow heap move only
+//! 24-byte `(time, seq, slot)` keys, however large the event type is.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -34,6 +39,10 @@ const EMPTY: u64 = u64::MAX - 1;
 /// events scheduled for the same instant pop in insertion order
 /// (FIFO-stable), which keeps simulations deterministic.
 ///
+/// Payloads live in a slab (`Vec<Option<E>>` with a LIFO free list), so
+/// the slab never holds more slots than the peak number of pending
+/// events; only small `(time, seq, slot)` keys travel through the wheel.
+///
 /// ```
 /// use sim_engine::event::EventQueue;
 /// use hmc_types::Time;
@@ -47,21 +56,25 @@ const EMPTY: u64 = u64::MAX - 1;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Events already extracted into exact `(time, seq)` order; always the
+    /// Event payloads, indexed by `Key::slot`; `None` marks a free slot.
+    slab: Vec<Option<E>>,
+    /// Free slab slots, reused last-freed first.
+    free: Vec<u32>,
+    /// Keys already extracted into exact `(time, seq)` order; always the
     /// earliest region of the queue. Refilled from the wheel one bucket at
     /// a time.
-    now_buf: VecDeque<(Time, u64, E)>,
-    /// The ring of near-future buckets; slot `abs & MASK` holds events
+    now_buf: VecDeque<Key>,
+    /// The ring of near-future buckets; slot `abs & MASK` holds keys
     /// whose coarse bucket index `abs` lies in
     /// `(active_abs, active_abs + BUCKETS]`.
-    wheel: Vec<Vec<(Time, u64, E)>>,
+    wheel: Vec<Vec<Key>>,
     /// One bit per wheel slot: set iff the slot's bucket is non-empty.
     occupied: [u64; WORDS],
     /// Coarse bucket index of the most recently materialized bucket; the
     /// wheel window starts just past it. Only ever advances.
     active_abs: u64,
-    /// Far-future events (beyond the wheel horizon at push time).
-    overflow: BinaryHeap<Entry<E>>,
+    /// Far-future keys (beyond the wheel horizon at push time).
+    overflow: BinaryHeap<Reverse<Key>>,
     seq: u64,
     len: usize,
     popped: u64,
@@ -72,27 +85,14 @@ pub struct EventQueue<E> {
     cached_peek: Cell<u64>,
 }
 
-#[derive(Debug)]
-struct Entry<E> {
-    key: Reverse<(Time, u64)>,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
+/// What the wheel orders: an event's time, its push sequence number and
+/// the slab slot holding its payload. Ordered by `(at, seq)`, which is
+/// unique per queue, so `slot` never decides a comparison.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
+    at: Time,
+    seq: u64,
+    slot: u32,
 }
 
 #[inline]
@@ -106,10 +106,12 @@ impl<E> EventQueue<E> {
         Self::with_capacity(0)
     }
 
-    /// Creates an empty queue with pre-allocated capacity for the
-    /// in-order staging buffer and the far-future overflow.
+    /// Creates an empty queue with pre-allocated capacity for the payload
+    /// slab, the in-order staging buffer and the far-future overflow.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
+            slab: Vec::with_capacity(cap.min(4096)),
+            free: Vec::with_capacity(cap.min(4096)),
             now_buf: VecDeque::with_capacity(cap.min(4096)),
             wheel: (0..BUCKETS).map(|_| Vec::new()).collect(),
             occupied: [0; WORDS],
@@ -124,30 +126,43 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` at instant `at`.
     pub fn push(&mut self, at: Time, event: E) {
-        let seq = self.seq;
+        let key = Key {
+            at,
+            seq: self.seq,
+            slot: self.store(event),
+        };
         self.seq += 1;
         self.len += 1;
         let abs = bucket_of(at);
         if abs <= self.active_abs {
             // The bucket was already materialized: insert in exact order.
-            // `seq` is larger than every resident entry, so placing the
-            // event after all entries at `<= at` preserves FIFO stability.
-            let idx = self.now_buf.partition_point(|e| e.0 <= at);
-            self.now_buf.insert(idx, (at, seq, event));
+            // `seq` is larger than every resident key, so placing the
+            // event after all keys at `<= at` preserves FIFO stability.
+            let idx = self.now_buf.partition_point(|k| k.at <= at);
+            self.now_buf.insert(idx, key);
         } else if abs - self.active_abs <= BUCKETS as u64 {
             let slot = (abs & MASK) as usize;
-            self.wheel[slot].push((at, seq, event));
+            self.wheel[slot].push(key);
             self.occupied[slot / 64] |= 1 << (slot % 64);
         } else {
-            self.overflow.push(Entry {
-                key: Reverse((at, seq)),
-                event,
-            });
+            self.overflow.push(Reverse(key));
         }
         let cached = self.cached_peek.get();
         if cached != DIRTY && at.as_ps() < cached {
             self.cached_peek.set(at.as_ps());
         }
+    }
+
+    /// Writes `event` into a free slab slot (the most recently freed one,
+    /// which is likely still cached) and returns its index.
+    fn store(&mut self, event: E) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            self.slab[slot as usize] = Some(event);
+            return slot;
+        }
+        let slot = u32::try_from(self.slab.len()).expect("fewer than 2^32 pending events");
+        self.slab.push(Some(event));
+        slot
     }
 
     /// Removes and returns the earliest event with its scheduled time.
@@ -158,7 +173,9 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event if it is scheduled at or
     /// before `limit`; otherwise leaves the queue untouched. This is the
     /// simulation loop's fast path: one call replaces a
-    /// `peek_time`-then-`pop` pair.
+    /// `peek_time`-then-`pop` pair, and a `while let` loop over it drains
+    /// an instant (or an epoch) in `(time, seq)` order, picking up events
+    /// the handlers schedule inside the bound as it goes.
     pub fn pop_before(&mut self, limit: Time) -> Option<(Time, E)> {
         if self.now_buf.is_empty() {
             if self.len == 0 {
@@ -166,73 +183,41 @@ impl<E> EventQueue<E> {
             }
             self.refill();
         }
-        if self.now_buf.front().map(|e| e.0 <= limit) != Some(true) {
+        if self.now_buf.front().map(|k| k.at <= limit) != Some(true) {
             return None;
         }
-        let (t, _, event) = self.now_buf.pop_front().expect("refilled non-empty");
+        let key = self.now_buf.pop_front().expect("refilled non-empty");
         self.len -= 1;
         self.popped += 1;
         let next = match self.now_buf.front() {
-            Some(e) => e.0.as_ps(),
+            Some(k) => k.at.as_ps(),
             None if self.len == 0 => EMPTY,
             None => DIRTY,
         };
         self.cached_peek.set(next);
-        Some((t, event))
-    }
-
-    /// Drains every event scheduled at or before `limit` into `out`, in
-    /// the same `(time, seq)` order a `pop_before` loop would produce,
-    /// and returns how many events were appended. This is the epoch
-    /// advance primitive: one call replaces a peek/pop loop and amortizes
-    /// the staging-buffer bookkeeping over the whole batch.
-    pub fn pop_until(&mut self, limit: Time, out: &mut Vec<(Time, E)>) -> usize {
-        let before = out.len();
-        loop {
-            if self.now_buf.is_empty() {
-                if self.len == 0 {
-                    break;
-                }
-                self.refill();
-            }
-            let n = self.now_buf.partition_point(|e| e.0 <= limit);
-            if n == 0 {
-                break;
-            }
-            out.extend(self.now_buf.drain(..n).map(|(t, _, e)| (t, e)));
-            self.len -= n;
-            self.popped += n as u64;
-            if !self.now_buf.is_empty() || self.len == 0 {
-                break;
-            }
-            // The staging buffer drained completely below `limit`; later
-            // buckets (or overflow) may still hold in-bound events.
-        }
-        let next = match self.now_buf.front() {
-            Some(e) => e.0.as_ps(),
-            None if self.len == 0 => EMPTY,
-            None => DIRTY,
-        };
-        self.cached_peek.set(next);
-        out.len() - before
+        let event = self.slab[key.slot as usize]
+            .take()
+            .expect("a pending key owns its slab slot");
+        self.free.push(key.slot);
+        Some((key.at, event))
     }
 
     /// Advances `active_abs` to the next non-empty bucket (pulling any
-    /// overflow events that fall inside the window on the way) and
+    /// overflow keys that fall inside the window on the way) and
     /// materializes that bucket into `now_buf` in `(time, seq)` order.
     fn refill(&mut self) {
         debug_assert!(self.now_buf.is_empty() && self.len > 0);
         loop {
-            // Overflow events the advancing window now covers belong in
+            // Overflow keys the advancing window now covers belong in
             // the wheel, where they merge with same-bucket residents.
-            while let Some(top) = self.overflow.peek() {
-                let abs = bucket_of(top.key.0 .0);
+            while let Some(&Reverse(top)) = self.overflow.peek() {
+                let abs = bucket_of(top.at);
                 if abs > self.active_abs + BUCKETS as u64 {
                     break;
                 }
-                let e = self.overflow.pop().expect("peeked");
+                self.overflow.pop();
                 let slot = (abs & MASK) as usize;
-                self.wheel[slot].push((e.key.0 .0, e.key.0 .1, e.event));
+                self.wheel[slot].push(top);
                 self.occupied[slot / 64] |= 1 << (slot % 64);
             }
             if let Some(abs) = self.next_occupied_abs() {
@@ -240,15 +225,15 @@ impl<E> EventQueue<E> {
                 self.occupied[slot / 64] &= !(1 << (slot % 64));
                 // (time, seq) keys are unique, so an unstable sort yields
                 // the same order a stable one would.
-                self.wheel[slot].sort_unstable_by_key(|e| (e.0, e.1));
+                self.wheel[slot].sort_unstable();
                 self.now_buf.extend(self.wheel[slot].drain(..));
                 self.active_abs = abs;
                 return;
             }
             // The whole window is empty: jump to just before the earliest
-            // far-future event and let the migration above pull it in.
-            let top = self.overflow.peek().expect("len > 0 but queue drained");
-            self.active_abs = bucket_of(top.key.0 .0) - 1;
+            // far-future key and let the migration above pull it in.
+            let Reverse(top) = self.overflow.peek().expect("len > 0 but queue drained");
+            self.active_abs = bucket_of(top.at) - 1;
         }
     }
 
@@ -289,16 +274,16 @@ impl<E> EventQueue<E> {
     /// Recomputes the earliest event time without mutating the queue: the
     /// staging buffer front if present, else the minimum over the first
     /// occupied wheel bucket and the overflow top (overflow may hold
-    /// events the window has since grown over, so both must be checked).
+    /// keys the window has since grown over, so both must be checked).
     fn scan_min_time(&self) -> Option<Time> {
-        if let Some(e) = self.now_buf.front() {
-            return Some(e.0);
+        if let Some(k) = self.now_buf.front() {
+            return Some(k.at);
         }
         let wheel_min = self.next_occupied_abs().and_then(|abs| {
             let slot = (abs & MASK) as usize;
-            self.wheel[slot].iter().map(|e| e.0).min()
+            self.wheel[slot].iter().map(|k| k.at).min()
         });
-        let over_min = self.overflow.peek().map(|e| e.key.0 .0);
+        let over_min = self.overflow.peek().map(|Reverse(k)| k.at);
         match (wheel_min, over_min) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -322,6 +307,8 @@ impl<E> EventQueue<E> {
 
     /// Drops all pending events.
     pub fn clear(&mut self) {
+        self.slab.clear();
+        self.free.clear();
         self.now_buf.clear();
         for w in 0..WORDS {
             let mut bits = self.occupied[w];
@@ -341,13 +328,14 @@ impl<E> EventQueue<E> {
     pub fn iter(&self) -> impl Iterator<Item = (Time, &E)> {
         self.now_buf
             .iter()
-            .map(|e| (e.0, &e.2))
-            .chain(
-                self.wheel
-                    .iter()
-                    .flat_map(|b| b.iter().map(|e| (e.0, &e.2))),
-            )
-            .chain(self.overflow.iter().map(|e| (e.key.0 .0, &e.event)))
+            .chain(self.wheel.iter().flatten())
+            .chain(self.overflow.iter().map(|Reverse(k)| k))
+            .map(|k| {
+                let event = self.slab[k.slot as usize]
+                    .as_ref()
+                    .expect("a pending key owns its slab slot");
+                (k.at, event)
+            })
     }
 }
 
@@ -483,47 +471,14 @@ mod tests {
         assert_eq!(q.pop_before(Time::MAX), None);
     }
 
-    #[test]
-    fn pop_until_drains_in_pop_order() {
-        // Reference check: pop_until(limit) must produce exactly the same
-        // sequence a pop_before(limit) loop would, across random loads.
-        let mut rng = SplitMix64::new(0xBEEF);
-        let mut a: EventQueue<u64> = EventQueue::new();
-        let mut b: EventQueue<u64> = EventQueue::new();
-        let mut seq = 0u64;
-        let mut base = 0u64;
-        let mut batch = Vec::new();
-        for round in 0..200 {
-            for _ in 0..rng.next_below(20) {
-                let t = base
-                    + if rng.next_below(8) == 0 {
-                        2_000_000 + rng.next_below(9_000_000)
-                    } else {
-                        rng.next_below(50_000)
-                    };
-                a.push(Time::from_ps(t), seq);
-                b.push(Time::from_ps(t), seq);
-                seq += 1;
-            }
-            let limit = Time::from_ps(base + rng.next_below(4_000_000));
-            batch.clear();
-            let n = a.pop_until(limit, &mut batch);
-            assert_eq!(n, batch.len());
-            for want in &batch {
-                assert_eq!(b.pop_before(limit).as_ref(), Some(want));
-            }
-            assert_eq!(b.pop_before(limit), None, "round {round}");
-            assert_eq!(a.len(), b.len());
-            assert_eq!(a.total_popped(), b.total_popped());
-            assert_eq!(a.peek_time(), b.peek_time());
-            if let Some((t, _)) = batch.last() {
-                base = t.as_ps();
-            }
-        }
+    /// Pops every event at or before `limit` with a `pop_before` loop,
+    /// the way the host and device drain an instant.
+    fn drain_until<E>(q: &mut EventQueue<E>, limit: Time) -> Vec<E> {
+        std::iter::from_fn(|| q.pop_before(limit).map(|(_, e)| e)).collect()
     }
 
     #[test]
-    fn pop_until_spans_bucket_boundaries() {
+    fn pop_before_spans_bucket_boundaries() {
         let mut q = EventQueue::new();
         // One event per wheel bucket across several buckets, plus events
         // sitting exactly on bucket edges (at = k << SHIFT).
@@ -534,48 +489,89 @@ mod tests {
         }
         // Limit on a boundary: events at exactly `3*w` are included, the
         // interior event just after it is not.
-        let mut out = Vec::new();
-        let n = q.pop_until(Time::from_ps(3 * w), &mut out);
-        assert_eq!(n, 7);
         assert_eq!(
-            out.iter().map(|e| e.1).collect::<Vec<_>>(),
+            drain_until(&mut q, Time::from_ps(3 * w)),
             vec![0, 1, 10, 11, 20, 21, 30]
         );
         assert_eq!(q.peek_time(), Some(Time::from_ps(3 * w + 7)));
         // Drain the rest with a generous bound.
-        out.clear();
-        assert_eq!(q.pop_until(Time::MAX, &mut out), 5);
-        assert_eq!(
-            out.iter().map(|e| e.1).collect::<Vec<_>>(),
-            vec![31, 40, 41, 50, 51]
-        );
+        assert_eq!(drain_until(&mut q, Time::MAX), vec![31, 40, 41, 50, 51]);
         assert!(q.is_empty());
-        assert_eq!(q.pop_until(Time::MAX, &mut out), 0);
+        assert!(drain_until(&mut q, Time::MAX).is_empty());
     }
 
     #[test]
-    fn pop_until_migrates_heap_overflow() {
+    fn pop_before_migrates_heap_overflow() {
         let mut q = EventQueue::new();
         // Far-future events beyond the ~1 µs horizon live in the overflow
-        // heap; pop_until must migrate them through the wheel in order.
+        // heap; a pop_before loop must migrate them through the wheel in
+        // order.
         for i in 0..4u64 {
             q.push(Time::from_ps(7_800_000 * (i + 1)), 100 + i);
         }
         q.push(Time::from_ps(500), 1);
-        let mut out = Vec::new();
         // Bound between the second and third refresh ticks: two overflow
         // events migrate and drain, two stay parked.
-        let n = q.pop_until(Time::from_ps(16_000_000), &mut out);
-        assert_eq!(n, 3);
         assert_eq!(
-            out.iter().map(|e| e.1).collect::<Vec<_>>(),
+            drain_until(&mut q, Time::from_ps(16_000_000)),
             vec![1, 100, 101]
         );
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(Time::from_ps(7_800_000 * 3)));
-        out.clear();
-        q.pop_until(Time::MAX, &mut out);
-        assert_eq!(out.iter().map(|e| e.1).collect::<Vec<_>>(), vec![102, 103]);
+        assert_eq!(drain_until(&mut q, Time::MAX), vec![102, 103]);
+    }
+
+    #[test]
+    fn slab_neither_leaks_nor_duplicates_payloads() {
+        use std::rc::Rc;
+        // Every payload is an `Rc` whose only other owner is `live`, so a
+        // strong count of 1 after a drain means the queue dropped its copy
+        // exactly once and kept no stale one in a freed slot.
+        let mut rng = SplitMix64::new(0x51AB);
+        let mut q: EventQueue<Rc<u64>> = EventQueue::new();
+        let mut live: Vec<Rc<u64>> = Vec::new();
+        let mut base = 0u64;
+        let mut peak = 0usize;
+        for round in 0..400u64 {
+            for _ in 0..rng.next_below(24) {
+                let t = base
+                    + if rng.next_below(8) == 0 {
+                        2_000_000 + rng.next_below(9_000_000)
+                    } else {
+                        rng.next_below(50_000)
+                    };
+                let payload = Rc::new(round);
+                q.push(Time::from_ps(t), Rc::clone(&payload));
+                live.push(payload);
+                peak = peak.max(q.len());
+            }
+            match rng.next_below(10) {
+                0 => q.clear(),
+                1 => {
+                    if let Some((t, e)) = q.pop() {
+                        base = t.as_ps();
+                        assert_eq!(Rc::strong_count(&e), 2);
+                    }
+                }
+                _ => {
+                    let limit = Time::from_ps(base + rng.next_below(200_000));
+                    while let Some((t, e)) = q.pop_before(limit) {
+                        base = t.as_ps();
+                        assert_eq!(Rc::strong_count(&e), 2, "round {round}");
+                    }
+                }
+            }
+            // Every popped or cleared payload is back to one owner; every
+            // pending one is held exactly once by the queue.
+            let pending = live.iter().filter(|p| Rc::strong_count(p) == 2).count();
+            assert_eq!(pending, q.len(), "round {round}");
+            assert!(live.iter().all(|p| Rc::strong_count(p) <= 2));
+            live.retain(|p| Rc::strong_count(p) == 2);
+            // Freed slots are reused before the slab grows.
+            assert!(q.slab.len() <= peak, "round {round}");
+        }
+        q.clear();
+        assert!(live.iter().all(|p| Rc::strong_count(p) == 1));
     }
 
     #[test]

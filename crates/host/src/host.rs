@@ -351,8 +351,6 @@ pub struct Host {
     /// Open-loop frontend state; `None` (the default) allocates nothing.
     open: Option<Box<OpenLoopState>>,
     robust_stats: RobustStats,
-    /// Reusable drain buffer for [`Host::advance_instant`].
-    scratch: Vec<(Time, HostEvent)>,
     tracer: Tracer,
     sanitizer: Sanitizer,
 }
@@ -419,7 +417,6 @@ impl Host {
             sweep_seq: 0,
             open,
             robust_stats: RobustStats::default(),
-            scratch: Vec::new(),
             tracer: Tracer::new(&Stage::NAMES),
             sanitizer: Sanitizer::new(),
             cfg,
@@ -539,31 +536,17 @@ impl Host {
         self.now = self.now.max(until);
     }
 
-    /// [`advance`](Host::advance) specialized to the simulation loop's hot
-    /// path: `t` must be the exact next-event instant (so every pending
-    /// event at or before `t` sits at exactly `t`). The whole instant
-    /// drains in one [`EventQueue::pop_until`] batch; events a handler
-    /// schedules at `t` itself join a follow-up batch, which preserves the
-    /// pop-one-at-a-time order because their sequence numbers are larger
-    /// than every drained event's.
+    /// [`advance`](Host::advance) at the simulation loop's next-event
+    /// instant: `t` must be the exact next-event time, so every pending
+    /// event at or before `t` sits at exactly `t`. It runs the same
+    /// [`EventQueue::pop_before`] loop, which also drains the events the
+    /// handlers schedule at `t` itself, after every earlier-pushed one.
     pub fn advance_instant<S: LinkSink>(&mut self, t: Time, sink: &mut S) {
-        self.sanitizer
-            .check_queue_bound("host events", self.events.len(), self.event_bound, t);
-        let mut batch = std::mem::take(&mut self.scratch);
-        loop {
-            batch.clear();
-            if self.events.pop_until(t, &mut batch) == 0 {
-                break;
-            }
-            for (at, ev) in batch.drain(..) {
-                debug_assert_eq!(at, t, "advance_instant needs the exact next-event time");
-                self.sanitizer.check_event_time(at);
-                self.now = self.now.max(at);
-                self.handle(ev, at, sink);
-            }
-        }
-        self.scratch = batch;
-        self.now = self.now.max(t);
+        debug_assert!(
+            self.next_time().is_none_or(|next| next >= t),
+            "advance_instant needs the exact next-event time"
+        );
+        self.advance(t, sink);
     }
 
     /// Total host events processed since construction.

@@ -12,7 +12,7 @@ use sim_engine::{EventQueue, MetricsSampler, Sanitizer, Tracer};
 use crate::config::{MemConfig, PagePolicy};
 use crate::link::{DeviceLink, OutPacket, Transfer};
 use crate::store::SparseStore;
-use crate::vault::Vault;
+use crate::vault::{StartedOp, Vault};
 use crate::xbar::Xbar;
 
 /// A response leaving the device, timestamped with the instant its last
@@ -214,9 +214,9 @@ pub struct HmcDevice {
     duplicate_requests: u64,
     /// Completed responses dropped because an earlier copy answered.
     dropped_responses: u64,
+    /// Reusable buffer for the bank accesses one vault pump starts.
+    started_ops: Vec<StartedOp>,
     now: Time,
-    /// Reusable drain buffer for [`HmcDevice::advance_instant`].
-    scratch: Vec<(Time, DeviceEvent)>,
     tracer: Tracer,
     sanitizer: Sanitizer,
 }
@@ -280,8 +280,8 @@ impl HmcDevice {
             data_write_bytes: 0,
             duplicate_requests: 0,
             dropped_responses: 0,
+            started_ops: Vec::new(),
             now: Time::ZERO,
-            scratch: Vec::new(),
             tracer: Tracer::new(&Stage::NAMES),
             sanitizer: Sanitizer::new(),
             cfg,
@@ -394,33 +394,6 @@ impl HmcDevice {
             self.handle(ev, t, out);
         }
         self.now = self.now.max(until);
-    }
-
-    /// [`advance`](HmcDevice::advance) specialized to the simulation
-    /// loop's hot path: `t` must be the exact next-event instant (so every
-    /// pending event at or before `t` sits at exactly `t`). The whole
-    /// instant drains in one [`EventQueue::pop_until`] batch; events a
-    /// handler schedules at `t` itself join a follow-up batch, which
-    /// preserves the pop-one-at-a-time order because their sequence
-    /// numbers are larger than every drained event's.
-    pub fn advance_instant(&mut self, t: Time, out: &mut Vec<DeviceOutput>) {
-        self.sanitizer
-            .check_queue_bound("device events", self.events.len(), self.event_bound, t);
-        let mut batch = std::mem::take(&mut self.scratch);
-        loop {
-            batch.clear();
-            if self.events.pop_until(t, &mut batch) == 0 {
-                break;
-            }
-            for (at, ev) in batch.drain(..) {
-                debug_assert_eq!(at, t, "advance_instant needs the exact next-event time");
-                self.sanitizer.check_event_time(at);
-                self.now = self.now.max(at);
-                self.handle(ev, at, out);
-            }
-        }
-        self.scratch = batch;
-        self.now = self.now.max(t);
     }
 
     /// Total device events processed since construction.
@@ -911,7 +884,7 @@ impl HmcDevice {
     /// wake event.
     fn pump_vault(&mut self, v: usize, now: Time, _out: &mut [DeviceOutput]) {
         let mut freed = 0;
-        let mut started = Vec::new();
+        let mut started = std::mem::take(&mut self.started_ops);
         loop {
             let moved = self.vaults[v].drain_input(now);
             freed += moved;
@@ -922,7 +895,7 @@ impl HmcDevice {
             }
         }
         self.vault_reserved[v] -= freed;
-        for op in started {
+        for op in started.drain(..) {
             if self.tracer.is_enabled() {
                 // The bank access starts at the pump instant and the
                 // vault has already committed its completion time.
@@ -972,6 +945,7 @@ impl HmcDevice {
                 );
             }
         }
+        self.started_ops = started;
         if freed > 0 {
             self.release_stalls(v, now);
         }
@@ -1101,10 +1075,6 @@ impl mem_backend::MemoryBackend for HmcDevice {
 
     fn advance(&mut self, until: Time, out: &mut Vec<DeviceOutput>) {
         HmcDevice::advance(self, until, out);
-    }
-
-    fn advance_instant(&mut self, t: Time, out: &mut Vec<DeviceOutput>) {
-        HmcDevice::advance_instant(self, t, out);
     }
 
     fn events_processed(&self) -> u64 {

@@ -107,7 +107,6 @@ pub struct HbmDevice {
     data_read_bytes: u64,
     data_write_bytes: u64,
     now: Time,
-    scratch: Vec<(Time, HbmEvent)>,
     tracer: Tracer,
     sanitizer: Sanitizer,
 }
@@ -166,7 +165,6 @@ impl HbmDevice {
             data_read_bytes: 0,
             data_write_bytes: 0,
             now: Time::ZERO,
-            scratch: Vec::new(),
             tracer: Tracer::new(&hmc_types::trace::Stage::NAMES),
             sanitizer: Sanitizer::new(),
         }
@@ -407,26 +405,6 @@ impl MemoryBackend for HbmDevice {
             self.handle(ev, t, out);
         }
         self.now = self.now.max(until);
-    }
-
-    fn advance_instant(&mut self, t: Time, out: &mut Vec<BackendOutput>) {
-        self.sanitizer
-            .check_queue_bound("hbm events", self.events.len(), self.event_bound, t);
-        let mut batch = std::mem::take(&mut self.scratch);
-        loop {
-            batch.clear();
-            if self.events.pop_until(t, &mut batch) == 0 {
-                break;
-            }
-            for (at, ev) in batch.drain(..) {
-                debug_assert_eq!(at, t, "advance_instant needs the exact next-event time");
-                self.sanitizer.check_event_time(at);
-                self.now = self.now.max(at);
-                self.handle(ev, at, out);
-            }
-        }
-        self.scratch = batch;
-        self.now = self.now.max(t);
     }
 
     fn events_processed(&self) -> u64 {

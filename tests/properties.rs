@@ -178,9 +178,9 @@ fn event_queue_is_stable_sorted() {
     });
 }
 
-/// Random interleaved push/pop sequences on the timing-wheel queue
-/// produce exactly the `(time, seq)` pop order of a reference
-/// `BinaryHeap` model — including pathological cases that cross the
+/// Random interleaved push/pop/`pop_before`/clear sequences on the
+/// timing-wheel queue produce exactly the `(time, seq)` pop order of a
+/// reference `BinaryHeap` model — including pathological cases that cross the
 /// wheel horizon (refresh-scale far-future events) and same-instant
 /// FIFO runs.
 #[test]
@@ -219,12 +219,37 @@ fn event_queue_matches_heap_reference_model() {
                     }
                 }
                 // Pop and advance the base time, like a simulation loop.
-                _ => {
+                7 | 8 => {
                     let got = q.pop();
                     let want = model.pop().map(|Reverse((t, s))| (Time::from_ps(t), s));
                     assert_eq!(got, want, "pop diverged after {seq} pushes");
                     if let Some((t, _)) = got {
                         t_base = t.as_ps();
+                    }
+                }
+                // Now and then drop everything pending.
+                _ if rng.next_below(8) == 0 => {
+                    q.clear();
+                    model.clear();
+                }
+                // Drain a window with a `pop_before(limit)` loop, the way
+                // the host and device drain an instant.
+                _ => {
+                    let limit = t_base + rng.next_below(100_000);
+                    loop {
+                        let got = q.pop_before(Time::from_ps(limit));
+                        let want = match model.peek() {
+                            Some(&Reverse((t, s))) if t <= limit => {
+                                model.pop();
+                                Some((Time::from_ps(t), s))
+                            }
+                            _ => None,
+                        };
+                        assert_eq!(got, want, "pop_before diverged after {seq} pushes");
+                        match got {
+                            Some((t, _)) => t_base = t.as_ps(),
+                            None => break,
+                        }
                     }
                 }
             }
