@@ -44,10 +44,8 @@
 //!   * `--breakdown` — run a traced stream and print the chain-wide
 //!     latency attribution (includes the `hop_link` stage; telescopes
 //!     with zero residue).
-//!   * `--trace-json PATH` — Perfetto export of the traced run with one
-//!     epoch track per cube shard.
+//!   * `--trace-json PATH` — Perfetto export of the traced run.
 //!   * `--metrics-json PATH` — the merged cube-prefixed gauge stream.
-//!   * `--profile-json PATH` — the deterministic epoch profile.
 //!   * `--dashboard` / `--dashboard-headless` — stream gauge frames
 //!     through a fixed ring buffer into a live ANSI panel, or simulate
 //!     silently and dump the final ring as JSON (stdout, plus `--json
@@ -226,19 +224,15 @@ fn run(target: &str, cfg: &SystemConfig, opts: Opts) {
     }
 }
 
-/// Measures the conservative chain scheduler's throughput at one cube
-/// count: a saturated full-scale read run over `span`, returning
-/// `(events, wall_sec)`. With `armed` the full observability
-/// surface rides along (tracer, per-cube gauges, epoch profiler) so the
-/// armed-vs-unarmed delta is the overhead of watching.
+/// Measures the chain pump's throughput at one cube count: a saturated
+/// full-scale read run over `span`, returning `(events, wall_sec)`. With
+/// `armed` the observability surface rides along (tracer, per-cube
+/// gauges) so the armed-vs-unarmed delta is the overhead of watching.
 fn chain_perf_point(cfg: &SystemConfig, cubes: u8, span: TimeDelta, armed: bool) -> (u64, f64) {
     use std::time::Instant;
     let mut b = SystemBuilder::new(cfg.clone()).topology(Topology::chain(cubes));
     if armed {
-        b = b
-            .tracing(64)
-            .metrics(TimeDelta::from_us(1))
-            .epoch_profiler();
+        b = b.tracing(64).metrics(TimeDelta::from_us(1));
     }
     let mut sys = b.build_chain();
     sys.apply_workload(&Workload::full_scale(
@@ -257,11 +251,11 @@ fn chain_perf_point(cfg: &SystemConfig, cubes: u8, span: TimeDelta, armed: bool)
 ///   wall-second and simulated µs per wall-second of the event core;
 /// * `sweep`: the Figure 7 sweep at the configured thread count —
 ///   simulated µs per wall-second across the whole fleet of points;
-/// * `parallel_chain`: the epoch scheduler's events per wall-second at
-///   1, 2, 4 and 8 cubes;
+/// * `parallel_chain`: the chain pump's events per wall-second at 1, 2,
+///   4 and 8 cubes;
 /// * `observability`: armed-vs-unarmed throughput at 2, 4 and 8 cubes —
-///   the wall-clock cost of tracer + per-cube gauges + epoch profiler
-///   (the event counts are asserted identical).
+///   the wall-clock cost of tracer + per-cube gauges (the event counts
+///   are asserted identical).
 fn perf_json(cfg: &SystemConfig) {
     use std::time::Instant;
 
@@ -286,7 +280,7 @@ fn perf_json(cfg: &SystemConfig) {
     let sim_us_per_point = (mc.warmup + mc.window).as_ns_f64() / 1e3;
     let sweep_sim_us = pts.len() as f64 * sim_us_per_point;
 
-    // The conservative chain scheduler at each cube count.
+    // The chain pump at each cube count.
     let chain_span = TimeDelta::from_us(100);
     let mut chain_cells = String::new();
     for cubes in [1u8, 2, 4, 8] {
@@ -303,9 +297,8 @@ fn perf_json(cfg: &SystemConfig) {
     }
 
     // Observability overhead: the same chain grid (smaller, to keep the
-    // run short) measured bare and with tracer + gauges + epoch profiler
-    // armed. The events counts are bit-identical by construction; only
-    // the wall clock moves.
+    // run short) measured bare and with tracer + gauges armed. The events
+    // counts are bit-identical by construction; only the wall clock moves.
     let mut obs_cells = String::new();
     for cubes in [2u8, 4, 8] {
         let (ev_bare, wall_bare) = chain_perf_point(cfg, cubes, chain_span, false);
@@ -389,7 +382,7 @@ fn perf_json(cfg: &SystemConfig) {
          \"parallel_chain\": {{\n    \"span_us\": {:.0},\n    \
          \"host_cores\": {},\n    \"points\": [\n{}\n    ]\n  }},\n  \
          \"observability\": {{\n    \"span_us\": {:.0},\n    \
-         \"armed\": \"tracer + per-cube gauges + epoch profiler\",\n    \
+         \"armed\": \"tracer + per-cube gauges\",\n    \
          \"points\": [\n{}\n    ]\n  }},\n  \
          \"backend_compare\": {{\n    \"workload\": \"full-scale ro 128B\",\n    \
          \"points\": [\n{backend_cells}\n    ]\n  }},\n  \
@@ -806,7 +799,7 @@ fn usage() -> ! {
          \x20 openloop [policy|all] [--poisson] [--quick] [--cubes N]\n\
          \x20          [--faults scenario]\n\
          \x20 chain [--cubes N] [--star] [--interleave cube|vault]\n\
-         \x20       [--breakdown] [--trace-json P] [--metrics-json P] [--profile-json P]\n\
+         \x20       [--breakdown] [--trace-json P] [--metrics-json P]\n\
          \x20       [--dashboard | --dashboard-headless] [--frames N] [--frame-us N]\n\
          \x20       [--span-us N] [--refresh-ms N]"
     );
@@ -935,7 +928,6 @@ struct ChainObs {
     breakdown: bool,
     trace_out: Option<String>,
     metrics_out: Option<String>,
-    profile_out: Option<String>,
     dashboard: bool,
     headless: bool,
     frames: usize,
@@ -952,7 +944,7 @@ fn run_chain_obs(cfg: &SystemConfig, topo: Topology, o: &ChainObs, json: Option<
 
     let workload =
         Workload::full_scale(RequestKind::ReadOnly, RequestSize::new(64).expect("valid"));
-    if o.breakdown || o.trace_out.is_some() || o.metrics_out.is_some() || o.profile_out.is_some() {
+    if o.breakdown || o.trace_out.is_some() || o.metrics_out.is_some() {
         let obs = run_chain_observed(
             cfg,
             topo,
@@ -969,7 +961,7 @@ fn run_chain_obs(cfg: &SystemConfig, topo: Topology, o: &ChainObs, json: Option<
             );
         }
         if let Some(path) = &o.trace_out {
-            let json = obs.report.chrome_json_with_profile(Some(&obs.profile));
+            let json = obs.report.chrome_json();
             match std::fs::write(path, &json) {
                 Ok(()) => eprintln!("wrote trace artifact to {path}"),
                 Err(e) => eprintln!("could not write {path}: {e}"),
@@ -980,9 +972,6 @@ fn run_chain_obs(cfg: &SystemConfig, topo: Topology, o: &ChainObs, json: Option<
                 write_artifact(m, path);
             }
         }
-        if let Some(path) = &o.profile_out {
-            write_artifact(&obs.profile, path);
-        }
     }
     if o.dashboard || o.headless {
         let mode = if o.headless {
@@ -992,7 +981,7 @@ fn run_chain_obs(cfg: &SystemConfig, topo: Topology, o: &ChainObs, json: Option<
                 refresh_ms: o.refresh_ms,
             }
         };
-        let (dash, sys) = run_dashboard(
+        let dash = run_dashboard(
             cfg,
             topo,
             &workload,
@@ -1014,7 +1003,7 @@ fn run_chain_obs(cfg: &SystemConfig, topo: Topology, o: &ChainObs, json: Option<
             }
         } else {
             // Leave the final panel on screen with a wall-clock summary.
-            print!("{}", dash.render(&sys));
+            print!("{}", dash.render());
         }
     }
 }
@@ -1053,9 +1042,6 @@ fn cmd_chain(cfg: &SystemConfig, args: &[String]) {
             "--metrics-json" => {
                 obs.metrics_out = Some(it.next().unwrap_or_else(|| usage()).clone());
             }
-            "--profile-json" => {
-                obs.profile_out = Some(it.next().unwrap_or_else(|| usage()).clone());
-            }
             "--dashboard" => obs.dashboard = true,
             "--dashboard-headless" => obs.headless = true,
             "--frames" => obs.frames = num(&mut it) as usize,
@@ -1079,8 +1065,7 @@ fn cmd_chain(cfg: &SystemConfig, args: &[String]) {
         || obs.dashboard
         || obs.headless
         || obs.trace_out.is_some()
-        || obs.metrics_out.is_some()
-        || obs.profile_out.is_some();
+        || obs.metrics_out.is_some();
     if observing {
         run_chain_obs(cfg, topo, &obs, json.as_deref());
     } else {

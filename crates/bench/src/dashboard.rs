@@ -2,13 +2,13 @@
 //! simulations.
 //!
 //! The dashboard is a *view* over the chain's own observability surface:
-//! every displayed number is read from the per-cube gauge samplers, the
-//! aggregated host statistics, and the deterministic PDES epoch profile.
-//! Each simulated `frame_span` the runner captures one [`Frame`] into a
-//! fixed-capacity [`Ring`], then either repaints the terminal (live
-//! mode, ANSI, wall-clock paced) or keeps simulating silently (headless
-//! mode). Because frames are derived purely from simulation state, the
-//! ring's JSON dump is reproducible to the byte — CI pins its checksum.
+//! every displayed number is read from the per-cube gauge samplers and
+//! the aggregated host statistics. Each simulated `frame_span` the
+//! runner captures one [`Frame`] into a fixed-capacity [`Ring`], then
+//! either repaints the terminal (live mode, ANSI, wall-clock paced) or
+//! keeps simulating silently (headless mode). Because frames are
+//! derived purely from simulation state, the ring's JSON dump is
+//! reproducible to the byte — CI pins its checksum.
 //!
 //! Wall-clock use (repaint pacing) lives only in this crate, outside the
 //! `hmc-lint` determinism perimeter, and never reaches
@@ -101,7 +101,7 @@ pub struct CubeFrame {
     pub link_stalls: f64,
     /// Cumulative leaked credits (fault counter).
     pub credits_leaked: f64,
-    /// Cross-shard envelopes parked in the cube's mailbox.
+    /// Hop messages in flight toward the cube (its inbox depth).
     pub mailbox: f64,
 }
 
@@ -198,15 +198,14 @@ impl Dashboard {
 
     /// Renders the latest frame as a plain-text panel (no ANSI control
     /// codes — the live loop adds cursor handling around it).
-    pub fn render(&self, sys: &ChainSystem) -> String {
+    pub fn render(&self) -> String {
         let mut out = String::new();
         let Some(f) = self.ring.last() else {
             return "no frames captured yet\n".to_string();
         };
-        let epochs = sys.epoch_profile().map_or(0, |p| p.epochs());
         let _ = writeln!(
             out,
-            "chain dashboard   t={:9.2} us   epochs={epochs}   frames={}/{}",
+            "chain dashboard   t={:9.2} us   frames={}/{}",
             f.at.as_ns_f64() / 1e3,
             self.ring.len(),
             self.ring.capacity(),
@@ -297,21 +296,18 @@ pub struct DashboardRun {
     pub mode: DashboardMode,
 }
 
-/// Builds a fully-observed chain (gauges + epoch profiler), runs
-/// `workload` for `run.total` simulated time capturing one frame every
-/// `run.frame_span` into a `run.capacity`-deep ring, and returns the
-/// dashboard plus the finished system (for trace/metrics/profile
-/// export).
+/// Builds a chain with per-cube gauges, runs `workload` for `run.total`
+/// simulated time capturing one frame every `run.frame_span` into a
+/// `run.capacity`-deep ring, and returns the dashboard.
 pub fn run_dashboard(
     cfg: &SystemConfig,
     topo: Topology,
     workload: &Workload,
     run: DashboardRun,
-) -> (Dashboard, ChainSystem) {
+) -> Dashboard {
     let mut sys = SystemBuilder::new(cfg.clone())
         .topology(topo)
         .metrics(run.frame_span)
-        .epoch_profiler()
         .build_chain();
     sys.apply_workload(workload);
     sys.start(Time::ZERO);
@@ -322,11 +318,11 @@ pub fn run_dashboard(
         dash.capture(&sys);
         if let DashboardMode::Live { refresh_ms } = run.mode {
             // ANSI: clear screen, home cursor, repaint.
-            print!("\x1b[2J\x1b[H{}", dash.render(&sys));
+            print!("\x1b[2J\x1b[H{}", dash.render());
             std::thread::sleep(std::time::Duration::from_millis(refresh_ms));
         }
     }
-    (dash, sys)
+    dash
 }
 
 #[cfg(test)]
@@ -351,7 +347,7 @@ mod tests {
 
     #[test]
     fn headless_dashboard_fills_the_ring_and_dumps_json() {
-        let (dash, sys) = run_dashboard(
+        let dash = run_dashboard(
             &SystemConfig::default(),
             Topology::chain(2),
             &Workload::full_scale(RequestKind::ReadOnly, RequestSize::new(64).unwrap()),
@@ -378,16 +374,16 @@ mod tests {
             8,
             "one object per retained frame"
         );
-        let panel = dash.render(&sys);
+        let panel = dash.render();
         assert!(panel.contains("chain dashboard"));
         assert!(panel.contains("bw history"));
     }
 
     /// The frame stream of a saturated 4-cube chain is pinned by its
-    /// FNV-1a 64 hash and byte length. The pin was recorded when the
-    /// chain could still run on 1 or 4 epoch worker threads, both of
-    /// which produced these bytes, so the serial pump is checked against
-    /// that reference rather than against itself.
+    /// FNV-1a 64 hash and byte length. Every field but `mailbox` carries
+    /// the bytes recorded when the chain could still run on 1 or 4 epoch
+    /// worker threads; `mailbox` was re-recorded when it came to count
+    /// every message in flight toward a cube.
     #[test]
     fn dashboard_json_is_identical_across_worker_counts() {
         let json = run_dashboard(
@@ -401,14 +397,13 @@ mod tests {
                 mode: DashboardMode::Headless,
             },
         )
-        .0
         .to_json();
         let fnv = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
         });
         assert_eq!(
             (fnv, json.len()),
-            (0x3f3e_65bb_1613_3964, 6251),
+            (0x511b_7634_5c93_438f, 6261),
             "frame stream drifted from the pinned bytes"
         );
     }

@@ -39,9 +39,8 @@ use crate::topology::{ChainSystem, Topology};
 ///
 /// Every observability and fault knob that used to require a post-`new`
 /// `enable_*` call is a chainable method here; every `build` variant
-/// applies them in one fixed order (policy, tracing, metrics, epoch
-/// profiler, sanitizer, faults), so all construction paths behave
-/// identically.
+/// applies them in one fixed order (policy, tracing, metrics, sanitizer,
+/// faults), so all construction paths behave identically.
 #[derive(Debug, Clone)]
 pub struct SystemBuilder {
     cfg: SystemConfig,
@@ -54,7 +53,6 @@ pub struct SystemBuilder {
     /// Scenarios to install: `None` cube = every cube of the topology.
     faults: Vec<(Option<usize>, FaultScenario)>,
     policy: Option<FailurePolicy>,
-    profiler: bool,
 }
 
 impl SystemBuilder {
@@ -69,7 +67,6 @@ impl SystemBuilder {
             sanitizer: None,
             faults: Vec::new(),
             policy: None,
-            profiler: false,
         }
     }
 
@@ -90,14 +87,6 @@ impl SystemBuilder {
     /// the exportable event log.
     pub fn tracing(mut self, sample_every: u64) -> Self {
         self.tracing = Some(sample_every);
-        self
-    }
-
-    /// Arms the deterministic PDES epoch profiler (see
-    /// [`ChainSystem::enable_epoch_profiler`]). Every variant arms it; a
-    /// one-cube system has no epochs, so its profile stays empty.
-    pub fn epoch_profiler(mut self) -> Self {
-        self.profiler = true;
         self
     }
 
@@ -176,9 +165,6 @@ impl SystemBuilder {
         }
         if let Some(period) = self.metrics {
             sys.enable_metrics(period);
-        }
-        if self.profiler {
-            sys.enable_epoch_profiler();
         }
         match self.sanitizer {
             Some(Some(span)) => sys.enable_sanitizer_with_span(span),
@@ -305,14 +291,13 @@ mod tests {
     use super::*;
 
     /// Which knobs reached cube 0: sanitizer, metrics, host tracer,
-    /// device tracer, epoch profiler.
-    fn armed<B: MemoryBackend>(sys: &ChainSystem<B>) -> [bool; 5] {
+    /// device tracer.
+    fn armed<B: MemoryBackend>(sys: &ChainSystem<B>) -> [bool; 4] {
         [
             sys.sanitizer_enabled(),
             sys.metrics(0).is_some(),
             sys.host(0).tracer().is_enabled(),
             sys.device(0).tracer().is_enabled(),
-            sys.epoch_profile().is_some(),
         ]
     }
 
@@ -322,15 +307,13 @@ mod tests {
             SystemBuilder::new(SystemConfig::default())
                 .tracing(8)
                 .metrics(TimeDelta::from_us(10))
-                .epoch_profiler()
                 .sanitizer()
         };
         let mut mutated = System::new(SystemConfig::default());
         mutated.enable_tracing(8);
         mutated.enable_metrics(TimeDelta::from_us(10));
-        mutated.enable_epoch_profiler();
         mutated.enable_sanitizer();
-        assert_eq!(armed(&mutated), [true; 5]);
+        assert_eq!(armed(&mutated), [true; 4]);
         let variants = [
             ("build", armed(&knobs().build())),
             (

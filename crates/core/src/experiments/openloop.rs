@@ -157,7 +157,7 @@ impl OpenLoopOutcome {
     }
 
     /// Bit-exact fingerprint: every float as raw bits plus every
-    /// counter. Identical runs — at any epoch worker count — must agree.
+    /// counter. Identical runs must agree.
     pub fn fingerprint(&self) -> Vec<u64> {
         let mut v = vec![
             self.saturation_rps.to_bits(),

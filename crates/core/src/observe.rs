@@ -13,18 +13,15 @@
 //! [`TraceReport::from_chain`] merges all `3 × cubes` tracers, and
 //! [`run_chain_observed`] is the chain counterpart of
 //! [`run_stream_observed`] / [`run_window_observed`], additionally
-//! capturing the merged cube-prefixed gauge stream and the deterministic
-//! PDES epoch profile.
-
-use std::fmt::Write as _;
+//! capturing the merged cube-prefixed gauge stream.
 
 use hmc_host::Workload;
 use hmc_types::trace::Stage;
 use hmc_types::{Time, TimeDelta};
 use mem_backend::{BackendKind, MemoryBackend};
 use sim_engine::stats::Histogram;
-use sim_engine::trace::{chrome_trace_events, chrome_trace_json, TraceEvent};
-use sim_engine::{EpochProfiler, MetricsSampler};
+use sim_engine::trace::{chrome_trace_json, TraceEvent};
+use sim_engine::MetricsSampler;
 
 use crate::builder::SystemBuilder;
 use crate::report::{f1, Table};
@@ -151,49 +148,6 @@ impl TraceReport {
     pub fn chrome_json(&self) -> String {
         chrome_trace_json(&self.events, &Stage::NAMES)
     }
-
-    /// Like [`chrome_json`](TraceReport::chrome_json), with one extra
-    /// Perfetto track per PDES shard carrying its epoch spans (process 1,
-    /// thread = shard index; the request spans stay on process 0). Each
-    /// epoch event's `args` records the events processed and envelopes
-    /// sent inside that window.
-    pub fn chrome_json_with_profile(&self, profile: Option<&EpochProfiler>) -> String {
-        let mut out = String::with_capacity(64 + self.events.len() * 96);
-        out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-        chrome_trace_events(&self.events, &Stage::NAMES, &mut out);
-        if let Some(p) = profile {
-            if !out.ends_with('[') {
-                out.push(',');
-            }
-            out.push_str(
-                "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\
-                 \"args\":{\"name\":\"pdes shards\"}}",
-            );
-            for (s, sp) in p.shards().iter().enumerate() {
-                write!(
-                    out,
-                    ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\
-                     \"tid\":{s},\"args\":{{\"name\":\"shard {s}\"}}}}"
-                )
-                .expect("writing to a String cannot fail");
-                for e in &sp.spans {
-                    write!(
-                        out,
-                        ",{{\"name\":\"epoch\",\"cat\":\"pdes\",\"ph\":\"X\",\
-                         \"ts\":{:.6},\"dur\":{:.6},\"pid\":1,\"tid\":{s},\
-                         \"args\":{{\"events\":{},\"sent\":{}}}}}",
-                        e.start.as_ps() as f64 / 1e6,
-                        e.end.since(e.start).as_ps() as f64 / 1e6,
-                        e.events,
-                        e.sent,
-                    )
-                    .expect("writing to a String cannot fail");
-                }
-            }
-        }
-        out.push_str("]}\n");
-        out
-    }
 }
 
 impl crate::report::JsonReport for TraceReport {
@@ -288,8 +242,7 @@ pub fn run_window_observed(
 }
 
 /// A fully-observed chain run: merged lifecycle trace (host + device +
-/// hop tracers of every cube), merged cube-prefixed gauge stream, and the
-/// deterministic PDES epoch profile.
+/// hop tracers of every cube) and merged cube-prefixed gauge stream.
 #[derive(Debug, Clone)]
 pub struct ObservedChain {
     /// End-to-end read-latency histogram aggregated over all cubes.
@@ -301,14 +254,12 @@ pub struct ObservedChain {
     /// Merged gauge sampler with `cube{i}.`-prefixed series, if metrics
     /// were requested (`metrics_period` was `Some`).
     pub metrics: Option<MetricsSampler>,
-    /// The deterministic per-shard epoch profile.
-    pub profile: EpochProfiler,
 }
 
 /// Runs a workload on a chain with full observability armed: lifecycle
-/// tracing (one request in `sample_every` kept in the event log), the
-/// PDES epoch profiler, and — when `metrics_period` is `Some` — per-cube
-/// gauge sampling merged into one cube-prefixed stream.
+/// tracing (one request in `sample_every` kept in the event log) and —
+/// when `metrics_period` is `Some` — per-cube gauge sampling merged into
+/// one cube-prefixed stream.
 ///
 /// With `span = None` the workload runs to completion (a drained
 /// stream); with `span = Some(d)` it runs continuously for `d`.
@@ -327,8 +278,7 @@ pub fn run_chain_observed(
 ) -> ObservedChain {
     let mut b = SystemBuilder::new(cfg.clone())
         .topology(topo)
-        .tracing(sample_every)
-        .epoch_profiler();
+        .tracing(sample_every);
     if let Some(period) = metrics_period {
         b = b.metrics(period);
     }
@@ -352,10 +302,6 @@ pub fn run_chain_observed(
         integrity_failures: stats.integrity_failures,
         report: TraceReport::from_chain(&sys),
         metrics: sys.merged_metrics(),
-        profile: sys
-            .epoch_profile()
-            .expect("epoch profiler was enabled")
-            .clone(),
     }
 }
 
@@ -504,34 +450,6 @@ mod tests {
                 assert!(t.to_string().contains("hop_link"));
             }
         }
-    }
-
-    #[test]
-    fn chain_export_carries_one_epoch_track_per_shard() {
-        let obs = run_chain_observed(
-            &SystemConfig::default(),
-            Topology::chain(4),
-            &Workload::read_stream(64, RequestSize::new(64).unwrap()),
-            None,
-            8,
-            None,
-        );
-        assert_eq!(obs.profile.shards().len(), 4);
-        assert!(obs.profile.epochs() > 0, "multi-cube runs pump epochs");
-        let json = obs.report.chrome_json_with_profile(Some(&obs.profile));
-        assert!(json.starts_with("{\"displayTimeUnit\""));
-        for s in 0..4 {
-            assert!(
-                json.contains(&format!("\"args\":{{\"name\":\"shard {s}\"}}")),
-                "missing thread_name track for shard {s}"
-            );
-        }
-        assert!(json.contains("\"name\":\"epoch\""));
-        assert!(json.contains("\"cat\":\"pdes\""));
-        // Profile JSON is a valid artifact too.
-        let pjson = obs.profile.to_json();
-        assert!(pjson.contains("\"window_utilization\""));
-        assert!(pjson.contains("\"parked_ps\""));
     }
 
     #[test]

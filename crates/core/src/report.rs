@@ -7,7 +7,7 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 
-use sim_engine::{EpochProfiler, MetricsSampler, SanitizerReport};
+use sim_engine::{MetricsSampler, SanitizerReport};
 
 /// A JSON-exportable artifact.
 ///
@@ -21,7 +21,7 @@ use sim_engine::{EpochProfiler, MetricsSampler, SanitizerReport};
 /// artifact uniformly.
 pub trait JsonReport {
     /// Short artifact-kind tag (`"trace"`, `"metrics"`, `"sanitizer"`,
-    /// `"faults"`, `"chain"`, `"profile"`), embeddable in file names and
+    /// `"faults"`, `"chain"`), embeddable in file names and
     /// manifests.
     fn kind(&self) -> &'static str;
 
@@ -55,16 +55,6 @@ impl JsonReport for MetricsSampler {
 
     fn json(&self) -> String {
         crate::observe::metrics_json(self)
-    }
-}
-
-impl JsonReport for EpochProfiler {
-    fn kind(&self) -> &'static str {
-        "profile"
-    }
-
-    fn json(&self) -> String {
-        self.to_json()
     }
 }
 

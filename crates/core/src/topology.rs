@@ -21,29 +21,33 @@
 //!   fault scenarios all remain per-cube, and a fleet-wide forward-progress
 //!   watchdog spans the whole chain.
 //!
-//! # Conservative sharded execution
+//! # One instant pump
 //!
 //! The chain is organized as one [`CubeShard`] per cube: host, device,
-//! hop-link serializers, and metrics sampler bundled behind a private
-//! event pump that touches no other cube's state. Cross-cube traffic —
-//! request arrivals, response arrivals, and flow-control credits — moves
-//! as timestamped [`sim_engine::pdes::Envelope`]s whose delivery times
-//! carry at least the per-edge SerDes floor (one 16-byte flit through a
-//! pass-through link). That floor is the conservative *lookahead*: one
-//! serial scheduler advances the shards in lockstep epoch windows no
-//! wider than the minimum lookahead, exchanging envelopes only at epoch
-//! boundaries through per-shard [`sim_engine::pdes::Mailbox`]es drained
-//! in total `(at, edge, dir, seq)` order. Within a window each shard
-//! pumps only the instants at which it has work, and at each instant
-//! only the components with work due (see [`CubeShard::pump_instant`]).
-//! See DESIGN.md §10–§11 for the protocol.
+//! hop-link serializers, and metrics sampler, touching no other cube's
+//! state. Cross-cube traffic — request arrivals, response arrivals, and
+//! flow-control credits — is a message pushed straight into the
+//! receiving cube's [`sim_engine::pdes::Mailbox`], stamped with its
+//! delivery time: a hop link is a delay on a message, nothing more.
+//! Every delivery time is at least the per-edge SerDes floor (one
+//! 16-byte flit through a pass-through link) after the sending instant.
 //!
-//! A single cube has no edges and no epochs: it runs its own pump
+//! The pump is a plain discrete-event loop. It takes the earliest
+//! instant `t` at which any shard has work and pumps, in cube order,
+//! every shard with work at `t`. Each pumped shard runs only the
+//! components with work due (see [`CubeShard::pump_instant`]) and drains
+//! its mailbox up to `t` in total `(at, edge, dir, seq)` order. A message
+//! sent at `t` is due strictly after `t`, so no shard can receive work
+//! for an instant the pump has already begun, and every shard sees the
+//! same instants and the same inputs at each, whatever the cube order.
+//! See DESIGN.md §10–§11.
+//!
+//! A single cube has no edges: it runs its own pump
 //! ([`ChainSystem::step_until`]), which visits every host and device
 //! instant in host→device→credits→sampler order. [`crate::System`] is
 //! exactly that one-cube chain, so both types share one construction
-//! path, one pump per cube count, and one copy of the tracing, metrics,
-//! sanitizer, fault, thermal-recovery and watchdog wiring.
+//! path and one copy of the tracing, metrics, sanitizer, fault,
+//! thermal-recovery and watchdog wiring.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -58,7 +62,7 @@ use hmc_types::{
     ChainShard, CubeInterleave, MemoryRequest, MemoryResponse, RequestSize, Time, TimeDelta,
 };
 use mem_backend::MemoryBackend;
-use sim_engine::pdes::{Envelope, EpochProfiler, EpochSample, LookaheadTable, Mailbox, MsgKey};
+use sim_engine::pdes::{EpochProfiler, EpochSample, Mailbox, MsgKey};
 use sim_engine::{
     FaultKind, FaultScenario, MetricsSampler, SanitizerReport, Tracer, ViolationClass,
 };
@@ -162,11 +166,6 @@ impl Topology {
         ChainShard::new(self.cubes, self.interleave)
     }
 
-    /// Number of cube-to-cube edges (`cubes - 1` for both arrangements).
-    pub fn edge_count(&self) -> usize {
-        self.cubes as usize - 1
-    }
-
     /// Hop count between two cubes.
     pub fn hops(&self, from: u8, to: u8) -> u32 {
         match self.arrangement {
@@ -246,15 +245,6 @@ impl fmt::Display for Topology {
     }
 }
 
-/// The earlier of two optional instants (`None` = no work).
-#[inline]
-fn earliest(a: Option<Time>, b: Option<Time>) -> Option<Time> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, y) => x.or(y),
-    }
-}
-
 /// The origin cube a request id encodes (the issuing host's shard).
 fn origin_of(id: u64) -> usize {
     (id >> ORIGIN_SHIFT) as usize
@@ -297,9 +287,9 @@ fn repack(resp: &MemoryResponse) -> OutPacket {
     }
 }
 
-/// A cross-shard hop-link message. Delivery times always carry at least
-/// the per-edge lookahead, which is what lets shards advance a whole
-/// epoch without hearing from their neighbours.
+/// A cross-shard hop-link message. Its delivery time is always at least
+/// the per-edge hop floor after the instant it was sent, so the instant
+/// pump never delivers into an instant it has already begun.
 #[derive(Debug, Clone)]
 enum HopMsg {
     /// A request finished its hop serialization and arrives on sub-link
@@ -396,8 +386,9 @@ struct Port {
     dir: u8,
     /// The adjacent shard.
     peer: usize,
-    /// Minimum message latency across this edge (the credit delay).
-    lookahead: TimeDelta,
+    /// Minimum message latency across this edge (the credit delay): one
+    /// flit through a pass-through link.
+    floor: TimeDelta,
     /// Next sequence number for messages sent on `(edge, dir)`.
     seq: u64,
     req_tx: Vec<ReqTx>,
@@ -430,24 +421,57 @@ impl Port {
             && (tx.credits == 0 || tx.busy_until > t || tx.link.ingress_backlog() == 0)
             && (rtx.busy_until > t || rtx.link.egress_backlog() == 0)
     }
-}
 
-/// Emits a message through `port`, stamping the next `(edge, dir, seq)`
-/// ordering key. Free function so callers can borrow the port and the
-/// outbox from the same shard simultaneously.
-fn send_via(port: &mut Port, outbox: &mut Vec<Envelope<HopMsg>>, at: Time, msg: HopMsg) {
-    let key = MsgKey {
-        at,
-        edge: u32::try_from(port.edge).expect("at most 7 edges in an 8-cube topology"),
-        dir: port.dir,
-        seq: port.seq,
-    };
-    port.seq += 1;
-    outbox.push(Envelope {
-        to: port.peer,
-        key,
-        msg,
-    });
+    /// Sends a message, sent at `now` and due at `at`, to the peer:
+    /// stamps the next `(edge, dir, seq)` ordering key and pushes it
+    /// straight into the peer's inbox.
+    fn send(&mut self, inboxes: &mut [Mailbox<HopMsg>], now: Time, at: Time, msg: HopMsg) {
+        // The pump's order argument: a message is never due at or before
+        // the instant that sent it.
+        debug_assert!(at > now, "hop message due at {at}, sent at {now}");
+        let key = MsgKey {
+            at,
+            edge: u32::try_from(self.edge).expect("at most 7 edges in an 8-cube topology"),
+            dir: self.dir,
+            seq: self.seq,
+        };
+        self.seq += 1;
+        inboxes[self.peer].push(key, msg);
+    }
+
+    /// Starts sub-link `l`'s request serializer at `now` if it can, and
+    /// sends the serialized request to the peer; the hop span leaving
+    /// this shard ends at its arrival. True if a transfer started.
+    fn start_req(
+        &mut self,
+        l: usize,
+        now: Time,
+        hop_tracer: &mut Tracer,
+        inboxes: &mut [Mailbox<HopMsg>],
+    ) -> bool {
+        let Some((done, req)) = self.req_tx[l].try_start(now) else {
+            return false;
+        };
+        hop_tracer.finish(req.id.value(), Stage::HopLink.index(), done);
+        self.send(inboxes, now, done, HopMsg::Req { l, req });
+        true
+    }
+
+    /// The response half of [`start_req`](Port::start_req).
+    fn start_resp(
+        &mut self,
+        l: usize,
+        now: Time,
+        hop_tracer: &mut Tracer,
+        inboxes: &mut [Mailbox<HopMsg>],
+    ) -> bool {
+        let Some((done, pkt)) = self.resp_tx[l].try_start(now) else {
+            return false;
+        };
+        hop_tracer.finish(pkt.req.id.value(), Stage::HopLink.index(), done);
+        self.send(inboxes, now, done, HopMsg::Resp { l, pkt });
+        true
+    }
 }
 
 /// The transmit sink one sharded host sees: local requests go straight to
@@ -460,7 +484,7 @@ struct ShardSink<'a, B: MemoryBackend> {
     topo: &'a Topology,
     device: &'a mut B,
     ports: &'a mut [Port],
-    outbox: &'a mut Vec<Envelope<HopMsg>>,
+    inboxes: &'a mut [Mailbox<HopMsg>],
     hop_tracer: &'a mut Tracer,
 }
 
@@ -490,19 +514,16 @@ impl<B: MemoryBackend> LinkSink for ShardSink<'_, B> {
         // The host's LinkTx span ended at `now`; the hop stage owns the
         // request from here until its serialized arrival at the peer.
         self.hop_tracer.begin(id, now);
-        if let Some((done, r)) = port.req_tx[link].try_start(now) {
-            self.hop_tracer
-                .finish(r.id.value(), Stage::HopLink.index(), done);
-            send_via(port, self.outbox, done, HopMsg::Req { l: link, req: r });
-        }
+        port.start_req(link, now, self.hop_tracer, self.inboxes);
         Ok(())
     }
 }
 
-/// One cube of the chain, self-contained for epoch execution: its host,
-/// device, metrics sampler, and every hop-link endpoint it drives. The
-/// pump consumes local events and mailbox messages in one deterministic
-/// total order, so the shard's states depend only on its inputs.
+/// One cube of the chain: its host, device, metrics sampler, and every
+/// hop-link endpoint it drives. Its inbox lives on [`ChainSystem`], so
+/// other shards can push into it while this one is borrowed. The pump
+/// consumes local events and inbox messages in one deterministic total
+/// order, so the shard's states depend only on its inputs.
 #[derive(Debug)]
 struct CubeShard<B: MemoryBackend = HmcDevice> {
     idx: usize,
@@ -512,10 +533,6 @@ struct CubeShard<B: MemoryBackend = HmcDevice> {
     device: B,
     sampler: Option<MetricsSampler>,
     ports: Vec<Port>,
-    inbox: Mailbox<HopMsg>,
-    outbox: Vec<Envelope<HopMsg>>,
-    /// Local clock: the last instant this shard pumped.
-    local_now: Time,
     /// Scratch buffer for device outputs.
     outputs: Vec<DeviceOutput>,
     /// Lifecycle tracer for hop-link traversal (the chain-only
@@ -532,7 +549,7 @@ struct CubeShard<B: MemoryBackend = HmcDevice> {
     /// of the end of the last pumped instant (see
     /// [`refresh_hop_next`](CubeShard::refresh_hop_next)). Port state
     /// changes only inside [`pump_instant`](CubeShard::pump_instant), so
-    /// the cache is exact whenever the scheduler asks for
+    /// the cache is exact whenever the pump asks for
     /// [`next_time`](CubeShard::next_time).
     hop_next: Option<Time>,
 }
@@ -547,17 +564,34 @@ impl<B: MemoryBackend> CubeShard<B> {
     }
 
     /// Earliest instant at which this shard has work: a host or device
-    /// event, an undelivered mailbox message, a pending transmit start,
-    /// or a metrics sample. Parked request heads are deliberately
+    /// event, an undelivered message in its `inbox`, a pending transmit
+    /// start, or a metrics sample. Parked request heads are deliberately
     /// excluded — they retry when the event that frees their next stage
     /// fires. Used only on the multi-cube path (the single-cube pump
     /// looks at the host and the device alone, sampler excluded).
-    fn next_time(&self) -> Option<Time> {
+    fn next_time(&self, inbox: &Mailbox<HopMsg>) -> Option<Time> {
         let sample = self.sampler.as_ref().and_then(|s| s.due_before(Time::MAX));
-        earliest(
-            earliest(self.host.next_time(), self.device.next_time()),
-            earliest(earliest(self.inbox.peek_at(), sample), self.hop_next),
-        )
+        [
+            self.host.next_time(),
+            self.device.next_time(),
+            inbox.peek_at(),
+            sample,
+            self.hop_next,
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+    }
+
+    /// The running totals the step profiler takes deltas of: events
+    /// processed, messages sent (the ports' `seq` counters), and
+    /// head-of-line parking (`hol_parked`).
+    fn profile_totals(&self) -> EpochSample {
+        EpochSample {
+            events: self.host.events_processed() + self.device.events_processed(),
+            sent: self.ports.iter().map(|p| p.seq).sum(),
+            parked: self.hol_parked,
+        }
     }
 
     /// Recomputes [`hop_next`](CubeShard::hop_next): the earliest
@@ -589,9 +623,11 @@ impl<B: MemoryBackend> CubeShard<B> {
         self.hop_next = next;
     }
 
-    /// Processes one instant `t` of this shard's timeline: mailbox
+    /// Processes one instant `t` of this shard's timeline: inbox
     /// deliveries, host events, device events, hop-link progress, stall
-    /// credits, and metrics samples, in that order.
+    /// credits, and metrics samples, in that order. `inboxes` holds every
+    /// shard's inbox, indexed by shard: this shard's own is drained, and
+    /// messages it sends land in its neighbours'.
     ///
     /// Only the work due at `t` runs. The host and the device advance
     /// only when they have an event at `t` (or an armed sanitizer, whose
@@ -600,11 +636,11 @@ impl<B: MemoryBackend> CubeShard<B> {
     /// skipped call would have changed nothing but the component's local
     /// clock, which no chain path reads, so the shard computes
     /// bit-identical states.
-    fn pump_instant(&mut self, t: Time) {
+    fn pump_instant(&mut self, t: Time, inboxes: &mut [Mailbox<HopMsg>]) {
         // 1. Cross-shard messages due by now, in total (at, edge, dir,
         //    seq) order. Credits open transmit windows; arrivals queue on
         //    their port and move downstream in step 4.
-        while let Some((key, msg)) = self.inbox.pop_before(t) {
+        while let Some((key, msg)) = inboxes[self.idx].pop_before(t) {
             let pi = self
                 .ports
                 .iter()
@@ -628,25 +664,7 @@ impl<B: MemoryBackend> CubeShard<B> {
         // 2. Host first: its submissions at instants <= t reach a device
         //    (or hop serializer) whose clock has not passed t yet.
         if self.host.next_time() == Some(t) || self.host.sanitizer().is_enabled() {
-            let CubeShard {
-                idx,
-                topo,
-                host,
-                device,
-                ports,
-                outbox,
-                hop_tracer,
-                ..
-            } = self;
-            let mut sink = ShardSink {
-                shard: *idx,
-                topo,
-                device,
-                ports,
-                outbox,
-                hop_tracer,
-            };
-            host.advance_instant(t, &mut sink);
+            self.advance_host(t, inboxes);
         }
         // 3. Device events; responses route to the local host or back
         //    into the chain toward their origin cube. Checked after the
@@ -656,7 +674,7 @@ impl<B: MemoryBackend> CubeShard<B> {
             outputs.clear();
             self.device.advance_instant(t, &mut outputs);
             for o in &outputs {
-                self.route_device_output(o);
+                self.route_device_output(o, inboxes);
             }
             self.outputs = outputs;
         }
@@ -679,49 +697,28 @@ impl<B: MemoryBackend> CubeShard<B> {
                     }
                     // Arrived requests: hand each to the device or the
                     // next hop; the head parks on downstream-full and the
-                    // sender's credit returns one lookahead later.
+                    // sender's credit returns one hop floor later.
                     while let Some(&(at, req)) = self.ports[pi].req_rx[l].front() {
-                        if self.try_deliver_request(l, req, t).is_err() {
+                        if self.try_deliver_request(l, req, t, inboxes).is_err() {
                             break;
                         }
                         self.hol_parked += t.since(at);
-                        self.ports[pi].req_rx[l].pop_front();
-                        let la = self.ports[pi].lookahead;
-                        send_via(
-                            &mut self.ports[pi],
-                            &mut self.outbox,
-                            t + la,
-                            HopMsg::Credit { l },
-                        );
+                        let port = &mut self.ports[pi];
+                        port.req_rx[l].pop_front();
+                        port.send(inboxes, t, t + port.floor, HopMsg::Credit { l });
                         progress = true;
                     }
                     // Arrived responses: deliver to the local host or
                     // re-serialize toward the origin. Never blocks.
                     while let Some((at, pkt)) = self.ports[pi].resp_rx[l].pop_front() {
-                        self.deliver_response(l, pkt, at);
+                        self.deliver_response(l, pkt, at, inboxes);
                         progress = true;
                     }
                     // Restart any serializer freed this instant.
-                    if let Some((done, r)) = self.ports[pi].req_tx[l].try_start(t) {
-                        self.hop_tracer
-                            .finish(r.id.value(), Stage::HopLink.index(), done);
-                        send_via(
-                            &mut self.ports[pi],
-                            &mut self.outbox,
-                            done,
-                            HopMsg::Req { l, req: r },
-                        );
+                    if self.ports[pi].start_req(l, t, &mut self.hop_tracer, inboxes) {
                         progress = true;
                     }
-                    if let Some((done, p)) = self.ports[pi].resp_tx[l].try_start(t) {
-                        self.hop_tracer
-                            .finish(p.req.id.value(), Stage::HopLink.index(), done);
-                        send_via(
-                            &mut self.ports[pi],
-                            &mut self.outbox,
-                            done,
-                            HopMsg::Resp { l, pkt: p },
-                        );
+                    if self.ports[pi].start_resp(l, t, &mut self.hop_tracer, inboxes) {
                         progress = true;
                     }
                 }
@@ -748,19 +745,33 @@ impl<B: MemoryBackend> CubeShard<B> {
             while let Some(due) = smp.due_before(t) {
                 self.host.sample_metrics(due, &mut smp);
                 self.device.sample_metrics(due, &mut smp);
-                self.sample_hop_metrics(due, &mut smp);
+                self.sample_hop_metrics(due, &mut smp, inboxes[self.idx].len());
                 smp.advance();
             }
             self.sampler = Some(smp);
         }
-        self.local_now = self.local_now.max(t);
+    }
+
+    /// Advances the host through instant `t`, transmitting through a
+    /// [`ShardSink`] over this shard's device and ports.
+    fn advance_host(&mut self, t: Time, inboxes: &mut [Mailbox<HopMsg>]) {
+        let mut sink = ShardSink {
+            shard: self.idx,
+            topo: &self.topo,
+            device: &mut self.device,
+            ports: &mut self.ports,
+            inboxes,
+            hop_tracer: &mut self.hop_tracer,
+        };
+        self.host.advance_instant(t, &mut sink);
     }
 
     /// Records the chain-level gauges of this shard: per-edge hop-link
     /// occupancy (transmit backlog, arrival queue, remaining credit
-    /// window) plus the cross-shard mailbox depth. Read-only over the
-    /// port state, so an armed sampler stays bit-inert.
-    fn sample_hop_metrics(&self, due: Time, smp: &mut MetricsSampler) {
+    /// window) plus `in_flight`, the messages in flight toward this cube
+    /// (its inbox depth). Read-only over the port state, so an armed
+    /// sampler stays bit-inert.
+    fn sample_hop_metrics(&self, due: Time, smp: &mut MetricsSampler, in_flight: usize) {
         for p in &self.ports {
             let mut tx = 0usize;
             let mut rx = 0usize;
@@ -775,14 +786,14 @@ impl<B: MemoryBackend> CubeShard<B> {
             smp.record(&format!("hop.edge{e}.rx_queued"), due, rx as f64);
             smp.record(&format!("hop.edge{e}.credits"), due, credits as f64);
         }
-        smp.record("chain.mailbox", due, self.inbox.len() as f64);
+        smp.record("chain.mailbox", due, in_flight as f64);
     }
 
     /// Routes one device output: responses to locally-issued requests go
     /// to the local host (exactly the single-cube path); responses to
     /// forwarded requests re-enter the chain toward their origin cube,
     /// paying another serialization per hop.
-    fn route_device_output(&mut self, o: &DeviceOutput) {
+    fn route_device_output(&mut self, o: &DeviceOutput, inboxes: &mut [Mailbox<HopMsg>]) {
         let owner = origin_of(o.resp.id.value());
         if owner == self.idx || owner >= self.topo.cubes() as usize || o.link >= self.links {
             // Local traffic — and PIM returns, whose pseudo-link is out of
@@ -799,22 +810,19 @@ impl<B: MemoryBackend> CubeShard<B> {
             .link
             .push_egress(repack(&o.resp));
         self.ports[pi].mark(o.link);
-        if let Some((done, pkt)) = self.ports[pi].resp_tx[o.link].try_start(o.at) {
-            self.hop_tracer
-                .finish(pkt.req.id.value(), Stage::HopLink.index(), done);
-            send_via(
-                &mut self.ports[pi],
-                &mut self.outbox,
-                done,
-                HopMsg::Resp { l: o.link, pkt },
-            );
-        }
+        self.ports[pi].start_resp(o.link, o.at, &mut self.hop_tracer, inboxes);
     }
 
     /// Attempts to move an arrived request into its next stage (the local
     /// device, or the next hop toward its cube). `Err` means
     /// downstream-full: the caller leaves it parked head-of-line.
-    fn try_deliver_request(&mut self, l: usize, req: MemoryRequest, now: Time) -> Result<(), ()> {
+    fn try_deliver_request(
+        &mut self,
+        l: usize,
+        req: MemoryRequest,
+        now: Time,
+        inboxes: &mut [Mailbox<HopMsg>],
+    ) -> Result<(), ()> {
         let dst = req.cube.index() as usize;
         if dst == self.idx {
             self.device.submit(l, req, now).map_err(|_| ())?;
@@ -831,35 +839,20 @@ impl<B: MemoryBackend> CubeShard<B> {
             .enqueue_ingress(req, now)
             .map_err(|_| ())?;
         self.ports[pi].mark(l);
-        if let Some((done, r)) = self.ports[pi].req_tx[l].try_start(now) {
-            self.hop_tracer
-                .finish(r.id.value(), Stage::HopLink.index(), done);
-            send_via(
-                &mut self.ports[pi],
-                &mut self.outbox,
-                done,
-                HopMsg::Req { l, req: r },
-            );
-        }
+        self.ports[pi].start_req(l, now, &mut self.hop_tracer, inboxes);
         Ok(())
-    }
-
-    /// Pumps every instant strictly before `end` — the epoch window is
-    /// half-open, so a message timestamped exactly `end` lands in the
-    /// next epoch on every shard alike.
-    fn pump_epoch(&mut self, end: Time) {
-        while let Some(t) = self.next_time() {
-            if t >= end {
-                break;
-            }
-            self.pump_instant(t);
-        }
     }
 
     /// Delivers an arrived response: at its origin cube it reaches the
     /// host (stamped with its wire arrival instant); otherwise it
     /// re-enters the next hop's response serializer.
-    fn deliver_response(&mut self, l: usize, pkt: OutPacket, at: Time) {
+    fn deliver_response(
+        &mut self,
+        l: usize,
+        pkt: OutPacket,
+        at: Time,
+        inboxes: &mut [Mailbox<HopMsg>],
+    ) {
         let owner = origin_of(pkt.req.id.value());
         if owner == self.idx || owner >= self.topo.cubes() as usize {
             // `at` is the previous hop's serialized arrival instant, so
@@ -874,16 +867,7 @@ impl<B: MemoryBackend> CubeShard<B> {
         self.hop_tracer.begin(pkt.req.id.value(), at);
         self.ports[pi].resp_tx[l].link.push_egress(pkt);
         self.ports[pi].mark(l);
-        if let Some((done, p)) = self.ports[pi].resp_tx[l].try_start(at) {
-            self.hop_tracer
-                .finish(p.req.id.value(), Stage::HopLink.index(), done);
-            send_via(
-                &mut self.ports[pi],
-                &mut self.outbox,
-                done,
-                HopMsg::Resp { l, pkt: p },
-            );
-        }
+        self.ports[pi].start_resp(l, at, &mut self.hop_tracer, inboxes);
     }
 }
 
@@ -943,6 +927,7 @@ fn fleet_progress<B: MemoryBackend>(shards: &[CubeShard<B>]) -> (u64, u64) {
 fn watchdog_check<B: MemoryBackend>(
     watchdog: &mut Option<Watchdog>,
     shards: &mut [CubeShard<B>],
+    inboxes: &[Mailbox<HopMsg>],
     topo: &Topology,
     now: Time,
 ) {
@@ -958,7 +943,7 @@ fn watchdog_check<B: MemoryBackend>(
         let detail = format!(
             "no retirement for {} with {outstanding} outstanding\n{}",
             now.since(wd.last_progress),
-            wedge_dump(shards, topo, now),
+            wedge_dump(shards, inboxes, topo, now),
         );
         shards[0]
             .host
@@ -969,10 +954,15 @@ fn watchdog_check<B: MemoryBackend>(
 
 /// The body of [`ChainSystem::diagnostic_dump`]: every cube's host and
 /// device occupancies, credits in use per host link, hop-port backlogs
-/// and pending mailbox messages at `now`.
-fn wedge_dump<B: MemoryBackend>(shards: &[CubeShard<B>], topo: &Topology, now: Time) -> String {
+/// and messages in flight toward it at `now`.
+fn wedge_dump<B: MemoryBackend>(
+    shards: &[CubeShard<B>],
+    inboxes: &[Mailbox<HopMsg>],
+    topo: &Topology,
+    now: Time,
+) -> String {
     let mut s = format!("system wedged at {now} ({topo})\n");
-    for sh in shards {
+    for (sh, inbox) in shards.iter().zip(inboxes) {
         s.push_str(&format!("-- cube {}\n", sh.idx));
         s.push_str(&sh.host.diagnostic_dump(now));
         s.push_str(&sh.device.diagnostic_dump(now));
@@ -1000,8 +990,8 @@ fn wedge_dump<B: MemoryBackend>(shards: &[CubeShard<B>], topo: &Topology, now: T
                 p.peer, p.edge
             ));
         }
-        if !sh.inbox.is_empty() {
-            s.push_str(&format!("inbox pending {}\n", sh.inbox.len()));
+        if !inbox.is_empty() {
+            s.push_str(&format!("messages in flight {}\n", inbox.len()));
         }
     }
     s
@@ -1010,8 +1000,10 @@ fn wedge_dump<B: MemoryBackend>(shards: &[CubeShard<B>], topo: &Topology, now: T
 /// A chained (or starred) multi-cube system: N sharded hosts, N cubes,
 /// pass-through links between adjacent cubes. With one cube this is the
 /// whole of a [`crate::System`]: host and device alternate instant by
-/// instant; with more, the cubes advance as conservative shards in
-/// lockstep lookahead windows (see the module docs).
+/// instant; with more, one pump visits the earliest instant any cube
+/// has work at and pumps each such cube in cube order, and hop links
+/// are delays on the messages pushed into the neighbours' inboxes (see
+/// the module docs).
 ///
 /// ```
 /// use hmc_core::topology::{ChainSystem, Topology};
@@ -1031,23 +1023,17 @@ pub struct ChainSystem<B: MemoryBackend = HmcDevice> {
     cfg: SystemConfig,
     topo: Topology,
     shards: Vec<CubeShard<B>>,
-    /// Per-edge conservative lookahead (`None` for a single cube, which
-    /// has no edges and no epochs).
-    lookahead: Option<LookaheadTable>,
+    /// Per-shard inboxes: every hop message in flight toward each cube.
+    inboxes: Vec<Mailbox<HopMsg>>,
     now: Time,
     watchdog: Option<Watchdog>,
     /// Pending thermal spikes `(at, °C, cube)`, sorted ascending.
     thermal_spikes: Vec<(Time, f64, usize)>,
     policy: FailurePolicy,
     recoveries: Vec<RecoveryRecord>,
-    /// Deterministic per-shard epoch profiler (armed on demand; the
-    /// scheduler feeds it after every epoch barrier).
+    /// Deterministic per-shard step profiler (armed on demand; the
+    /// multi-cube pump feeds it after every instant).
     profiler: Option<EpochProfiler>,
-    /// Per-shard `(events, parked)` totals at the last recorded epoch,
-    /// so the profiler sees per-epoch deltas.
-    prof_prev: Vec<(u64, TimeDelta)>,
-    /// Envelopes delivered to each shard at the last exchange.
-    recv_counts: Vec<u64>,
 }
 
 impl ChainSystem {
@@ -1064,11 +1050,10 @@ impl ChainSystem {
     ///   external sub-link per direction, with credit windows sized to
     ///   the link layer's retry-buffer depth.
     ///
-    /// The per-edge lookahead table is fixed here: one 16-byte flit
-    /// through a pass-through link (serialization at wire efficiency plus
-    /// the packet and per-flit overheads) is the smallest latency any
-    /// cross-shard message can carry, and therefore the conservative
-    /// epoch bound.
+    /// The hop floor is fixed here: one 16-byte flit through a
+    /// pass-through link (serialization at wire efficiency plus the
+    /// packet and per-flit overheads) is the smallest latency any
+    /// cross-shard message can carry, and the delay of every credit.
     pub fn new(cfg: SystemConfig, topo: Topology) -> Self {
         let base_seed = cfg.mem.link_seed;
         ChainSystem::with_devices(cfg, topo, |s, cfg| {
@@ -1097,6 +1082,12 @@ impl<B: MemoryBackend> ChainSystem<B> {
         let shard = topo.shard();
         let probe = DeviceLink::new(cfg.mem.links, cfg.mem.link_layer);
         let hop_floor = probe.transfer_time(FLIT_BYTES);
+        // The instant pump relies on every message being due strictly
+        // after the instant that sent it.
+        assert!(
+            hop_floor > TimeDelta::ZERO,
+            "hop links need a positive single-flit floor"
+        );
         let credit_window = cfg.mem.link_layer.retry_buffer_depth;
         let mut shards = Vec::with_capacity(n);
         for s in 0..n {
@@ -1115,7 +1106,7 @@ impl<B: MemoryBackend> ChainSystem<B> {
                     edge: e,
                     dir,
                     peer: b,
-                    lookahead: hop_floor,
+                    floor: hop_floor,
                     seq: 0,
                     req_tx: (0..links)
                         .map(|l| ReqTx {
@@ -1151,30 +1142,23 @@ impl<B: MemoryBackend> ChainSystem<B> {
                 device,
                 sampler: None,
                 ports,
-                inbox: Mailbox::new(),
-                outbox: Vec::new(),
-                local_now: Time::ZERO,
                 outputs: Vec::new(),
                 hop_tracer: Tracer::new(&Stage::NAMES),
                 hol_parked: TimeDelta::ZERO,
                 hop_next: None,
             });
         }
-        let lookahead = (topo.edge_count() > 0)
-            .then(|| LookaheadTable::new(vec![hop_floor; topo.edge_count()]));
         ChainSystem {
             cfg,
             topo,
             shards,
-            lookahead,
+            inboxes: (0..n).map(|_| Mailbox::new()).collect(),
             now: Time::ZERO,
             watchdog: None,
             thermal_spikes: Vec::new(),
             policy: FailurePolicy::default(),
             recoveries: Vec::new(),
             profiler: None,
-            prof_prev: vec![(0, TimeDelta::ZERO); n],
-            recv_counts: vec![0; n],
         }
     }
 
@@ -1206,11 +1190,6 @@ impl<B: MemoryBackend> ChainSystem<B> {
     /// Mutable device access.
     pub fn device_mut(&mut self, s: usize) -> &mut B {
         &mut self.shards[s].device
-    }
-
-    /// The conservative lookahead table (`None` for a single cube).
-    pub fn lookahead(&self) -> Option<&LookaheadTable> {
-        self.lookahead.as_ref()
     }
 
     /// Installs the same workload on every sharded host.
@@ -1326,23 +1305,17 @@ impl<B: MemoryBackend> ChainSystem<B> {
         Some(merged)
     }
 
-    /// Arms the deterministic per-shard epoch profiler. Sim-time only:
-    /// the scheduler records each epoch's per-shard event counts,
-    /// envelope traffic, window utilization, and head-of-line parking
-    /// after the barrier, so profiles are reproducible and the armed
-    /// profiler never perturbs simulation state.
-    /// A single-cube system has no epochs and records nothing.
+    /// Arms the deterministic per-shard step profiler. Sim-time only:
+    /// after each instant the multi-cube pump records every shard's
+    /// event count, messages sent, and head-of-line parking over that
+    /// step, so profiles are reproducible and the armed profiler never
+    /// perturbs simulation state. A single-cube system records nothing.
     pub fn enable_epoch_profiler(&mut self) {
-        self.profiler = Some(EpochProfiler::new(self.shards.len()));
-        for (prev, sh) in self.prof_prev.iter_mut().zip(&self.shards) {
-            *prev = (
-                sh.host.events_processed() + sh.device.events_processed(),
-                sh.hol_parked,
-            );
-        }
+        let totals = self.shards.iter().map(CubeShard::profile_totals);
+        self.profiler = Some(EpochProfiler::from_totals(totals.collect()));
     }
 
-    /// The epoch profile recorded so far, if the profiler is armed.
+    /// The step profile recorded so far, if the profiler is armed.
     pub fn epoch_profile(&self) -> Option<&EpochProfiler> {
         self.profiler.as_ref()
     }
@@ -1467,10 +1440,10 @@ impl<B: MemoryBackend> ChainSystem<B> {
     }
 
     /// Deterministic dump of every cube's occupancies, credits in use
-    /// per host link, hop-port backlogs and clock — the body of the
-    /// watchdog's diagnostic report.
+    /// per host link, hop-port backlogs, messages in flight and clock —
+    /// the body of the watchdog's diagnostic report.
     pub fn diagnostic_dump(&self) -> String {
-        wedge_dump(&self.shards, &self.topo, self.now)
+        wedge_dump(&self.shards, &self.inboxes, &self.topo, self.now)
     }
 
     /// Advances every component until no event at or before `end`
@@ -1479,15 +1452,20 @@ impl<B: MemoryBackend> ChainSystem<B> {
     /// against that cube's write history, and (on shutdown) executes the
     /// recovery cycle before continuing.
     pub fn step_until(&mut self, end: Time) {
-        while let Some(&(at, surface_c, cube)) = self.thermal_spikes.first() {
-            if at > end {
-                break;
+        loop {
+            let spike = self.thermal_spikes.first().copied().filter(|s| s.0 <= end);
+            let to = spike.map_or(end, |s| s.0);
+            if self.shards.len() == 1 {
+                self.step_single_until(to);
+            } else {
+                self.step_instants_until(to);
             }
-            self.step_events_until(at);
+            let Some((at, surface_c, cube)) = spike else {
+                return;
+            };
             self.thermal_spikes.remove(0);
             self.apply_thermal_spike(cube, at, surface_c);
         }
-        self.step_events_until(end);
     }
 
     /// Evaluates one thermal spike against the failure policy. The
@@ -1533,23 +1511,20 @@ impl<B: MemoryBackend> ChainSystem<B> {
         });
     }
 
-    /// The event-pump core: the single-cube pump for one cube, the
-    /// conservative epoch scheduler for more.
-    fn step_events_until(&mut self, end: Time) {
-        if self.shards.len() == 1 {
-            self.step_single_until(end);
-        } else {
-            self.step_epochs_until(end);
-        }
-    }
-
     /// The single-cube pump: at every instant with a host or device
     /// event, host first, then device, stall credits and samples. It has
-    /// no ports, mailbox or epochs, so it does none of that bookkeeping.
+    /// no ports or inbox, so it does none of that bookkeeping.
+    ///
+    /// Unlike [`CubeShard::next_time`], it never wakes for a metrics
+    /// sample alone: samples fall due at the next host or device
+    /// instant. The pinned one-cube gauge streams (the DDR and HBM
+    /// observed windows among them) depend on that, so this stays the
+    /// one-cube pump rather than the N = 1 case of the instant pump.
     fn step_single_until(&mut self, end: Time) {
         let ChainSystem {
             topo,
             shards,
+            inboxes,
             now,
             watchdog,
             ..
@@ -1567,26 +1542,7 @@ impl<B: MemoryBackend> ChainSystem<B> {
             }
             // Host first: its submissions at instants <= t reach a device
             // whose clock has not passed t yet.
-            {
-                let CubeShard {
-                    idx,
-                    host,
-                    device,
-                    ports,
-                    outbox,
-                    hop_tracer,
-                    ..
-                } = &mut *sh;
-                let mut sink = ShardSink {
-                    shard: *idx,
-                    topo,
-                    device,
-                    ports,
-                    outbox,
-                    hop_tracer,
-                };
-                host.advance_instant(t, &mut sink);
-            }
+            sh.advance_host(t, inboxes);
             sh.outputs.clear();
             sh.device.advance_instant(t, &mut sh.outputs);
             for o in &sh.outputs {
@@ -1607,88 +1563,72 @@ impl<B: MemoryBackend> ChainSystem<B> {
                     smp.advance();
                 }
             }
-            sh.local_now = t;
             *now = t;
-            watchdog_check(watchdog, std::slice::from_mut(sh), topo, t);
+            watchdog_check(watchdog, std::slice::from_mut(sh), inboxes, topo, t);
         }
         *now = (*now).max(end);
         // A wedged system can drain both event queues while requests are
         // still outstanding (e.g. a link that never grants credit): the
         // loop above exits immediately, so the watchdog must also see the
         // end-of-step instant.
-        watchdog_check(watchdog, shards, topo, *now);
+        watchdog_check(watchdog, shards, inboxes, topo, *now);
     }
 
-    /// The multi-cube pump: lockstep epochs bounded by the global
-    /// lookahead, with deterministic mailbox exchange at every barrier.
-    fn step_epochs_until(&mut self, end: Time) {
-        let delta = self
-            .lookahead
-            .as_ref()
-            .expect("multi-cube topologies have edges")
-            .global();
-        // Epoch windows are half-open, so covering every event at or
-        // before `end` means capping windows at `end + 1 ps`.
-        let cap = Time::from_ps(end.as_ps().saturating_add(1));
-        while let Some(next) = self.shards.iter().filter_map(CubeShard::next_time).min() {
-            if next >= cap {
+    /// The multi-cube pump: at the earliest instant `t` any shard has
+    /// work, pump every shard with work at `t` in cube order; repeat
+    /// while `t <= end`. The watchdog and the step profiler see every
+    /// instant.
+    fn step_instants_until(&mut self, end: Time) {
+        let ChainSystem {
+            topo,
+            shards,
+            inboxes,
+            now,
+            watchdog,
+            profiler,
+            ..
+        } = self;
+        // Each shard's next instant, `Time::MAX` when it has none (nothing
+        // is ever scheduled that late). Pumping a shard changes only its
+        // own state and the inboxes it sends into, so only those entries
+        // need refreshing.
+        let mut next: Vec<Time> = shards
+            .iter()
+            .zip(inboxes.iter())
+            .map(|(sh, inbox)| sh.next_time(inbox).unwrap_or(Time::MAX))
+            .collect();
+        loop {
+            // The earliest instant, and the first shard due then.
+            let first = (1..next.len()).fold(0, |f, i| if next[i] < next[f] { i } else { f });
+            let t = next[first];
+            if t == Time::MAX || t > end {
                 break;
             }
-            // No shard has work before `next`, so every message emitted
-            // in this window is timestamped >= next + delta: the window
-            // [next, next + delta) is conservative.
-            let window = (next + delta).min(cap);
-            for sh in &mut self.shards {
-                sh.pump_epoch(window);
-            }
-            // Envelope counts must be read at the barrier: the outbox
-            // drains during exchange, which in turn fills recv_counts.
-            let sent: Option<Vec<u64>> = self.profiler.is_some().then(|| {
-                self.shards
-                    .iter()
-                    .map(|sh| sh.outbox.len() as u64)
-                    .collect()
-            });
-            self.exchange();
-            if let Some(prof) = &mut self.profiler {
-                let sent = sent.expect("captured before exchange");
-                let mut samples = Vec::with_capacity(self.shards.len());
-                for (i, sh) in self.shards.iter().enumerate() {
-                    let events = sh.host.events_processed() + sh.device.events_processed();
-                    let parked = sh.hol_parked;
-                    let prev = &mut self.prof_prev[i];
-                    samples.push(EpochSample {
-                        events: events - prev.0,
-                        sent: sent[i],
-                        received: self.recv_counts[i],
-                        advanced_to: sh.local_now,
-                        parked: TimeDelta::from_ps(parked.as_ps() - prev.1.as_ps()),
-                    });
-                    *prev = (events, parked);
+            for i in first..next.len() {
+                if next[i] != t {
+                    continue;
                 }
-                prof.record_epoch(next, window, &samples);
+                let sh = &mut shards[i];
+                sh.pump_instant(t, inboxes);
+                next[i] = sh.next_time(&inboxes[i]).unwrap_or(Time::MAX);
+                // A message sent at `t` is due strictly after `t`, so it
+                // can pull a neighbour's next instant earlier but never
+                // to `t`: the shards pumped at `t` are exactly those that
+                // had work at `t` before any of them ran.
+                for p in &sh.ports {
+                    if let Some(at) = inboxes[p.peer].peek_at() {
+                        next[p.peer] = next[p.peer].min(at);
+                    }
+                }
             }
-            self.now = self.now.max(next);
-            watchdog_check(&mut self.watchdog, &mut self.shards, &self.topo, self.now);
-        }
-        self.now = self.now.max(end);
-        watchdog_check(&mut self.watchdog, &mut self.shards, &self.topo, self.now);
-    }
-
-    /// Routes every envelope emitted during the last epoch into its
-    /// destination shard's mailbox. Arrival order is irrelevant: the
-    /// mailbox pops in total key order.
-    fn exchange(&mut self) {
-        self.recv_counts.fill(0);
-        for i in 0..self.shards.len() {
-            let mut envs = std::mem::take(&mut self.shards[i].outbox);
-            for env in envs.drain(..) {
-                self.recv_counts[env.to] += 1;
-                self.shards[env.to].inbox.push(env.key, env.msg);
+            if let Some(prof) = profiler {
+                prof.record_step(t, shards.iter().map(CubeShard::profile_totals));
             }
-            // Hand the emptied buffer back so its capacity is reused.
-            self.shards[i].outbox = envs;
+            *now = (*now).max(t);
+            watchdog_check(watchdog, shards, inboxes, topo, *now);
         }
+        *now = (*now).max(end);
+        watchdog_check(watchdog, shards, inboxes, topo, *now);
     }
 
     /// Runs until no host has outstanding work or `max` simulated time
@@ -1710,7 +1650,8 @@ impl<B: MemoryBackend> ChainSystem<B> {
             } else {
                 self.shards
                     .iter()
-                    .filter_map(CubeShard::next_time)
+                    .zip(&self.inboxes)
+                    .filter_map(|(sh, inbox)| sh.next_time(inbox))
                     .chain(spike)
                     .min()
             };
@@ -1740,7 +1681,6 @@ mod tests {
     #[test]
     fn topology_geometry() {
         let t = Topology::chain(4);
-        assert_eq!(t.edge_count(), 3);
         assert_eq!(t.hops(0, 3), 3);
         assert_eq!(t.next_shard(1, 3), 2);
         assert_eq!(t.next_shard(2, 0), 1);
@@ -1750,7 +1690,6 @@ mod tests {
         assert_eq!(t.neighbors(2), vec![1, 3]);
 
         let s = Topology::star(4);
-        assert_eq!(s.edge_count(), 3);
         assert_eq!(s.hops(1, 3), 2);
         assert_eq!(s.hops(0, 3), 1);
         assert_eq!(s.next_shard(1, 3), 0);
@@ -1860,14 +1799,21 @@ mod tests {
 
     #[test]
     fn lookahead_is_the_single_flit_floor() {
+        // The hop floor is the chain's lookahead: the least delay any
+        // cross-shard message carries, and the delay of every credit.
         let sys = ChainSystem::new(SystemConfig::default(), Topology::chain(3));
-        let la = sys.lookahead().expect("multi-cube lookahead");
-        assert_eq!(la.edges(), 2);
         let probe = DeviceLink::new(sys.cfg.mem.links, sys.cfg.mem.link_layer);
-        assert_eq!(la.global(), probe.transfer_time(FLIT_BYTES));
-        assert!(la.global() > TimeDelta::ZERO);
-        // Single cube: no edges, no epochs, no table.
+        let flit = probe.transfer_time(FLIT_BYTES);
+        assert!(flit > TimeDelta::ZERO);
+        // Two edges, one port at each end of each.
+        let floors: Vec<TimeDelta> = sys
+            .shards
+            .iter()
+            .flat_map(|sh| sh.ports.iter().map(|p| p.floor))
+            .collect();
+        assert_eq!(floors, vec![flit; 4]);
+        // Single cube: no edges, no ports.
         let solo = ChainSystem::new(SystemConfig::default(), Topology::single());
-        assert!(solo.lookahead().is_none());
+        assert!(solo.shards[0].ports.is_empty());
     }
 }

@@ -148,8 +148,8 @@ fn saturating_mmpp_quartet() -> String {
 fn saturating_openloop_surface_is_identical_across_shard_counts() {
     // Overload is where nondeterminism hides: shed decisions, eviction
     // choices, and backpressure toggles all depend on exact queue state
-    // at exact instants. The epoch scheduler must not perturb any of it:
-    // the surface must reproduce the bytes every shard count agreed on.
+    // at exact instants. The chain pump must not perturb any of it: the
+    // surface must reproduce the bytes every shard count agreed on.
     let surface = saturating_mmpp_quartet();
     assert!(
         surface.contains("\"clean\":true"),
@@ -165,9 +165,9 @@ fn saturating_openloop_surface_is_identical_across_shard_counts() {
 
 #[test]
 fn noisy_chain_json_report_is_identical_across_shard_counts() {
-    // The epoch scheduler must not perturb a single byte of the
-    // serialized report, even with link-retry randomness live on all
-    // eight cubes' host links.
+    // The chain pump must not perturb a single byte of the serialized
+    // report, even with link-retry randomness live on all eight cubes'
+    // host links.
     let surface = noisy_octet();
     assert!(
         surface.contains("\"clean\":true"),

@@ -1,11 +1,11 @@
 //! Chain-wide observability invariants:
 //!
 //! * arming the full observer surface (lifecycle tracer, per-cube gauge
-//!   samplers, epoch profiler) must be *bit-inert* — the simulation's own
+//!   samplers, step profiler) must be *bit-inert* — the simulation's own
 //!   results are byte-identical with and without the observers, with the
 //!   protocol sanitizer armed in both runs;
 //! * the deterministic observer artifacts themselves (gauge streams,
-//!   epoch profiles, trace exports) must reproduce their recorded bytes.
+//!   trace exports) must reproduce their recorded bytes.
 
 use hmc_core::hmc_types::{RequestKind, RequestSize, Time, TimeDelta};
 use hmc_core::observe::{metrics_json, run_chain_observed, TraceReport};
@@ -25,9 +25,12 @@ fn octet_fingerprint(observed: bool) -> (String, String) {
         .sanitizer()
         .topology(Topology::chain(8));
     if observed {
-        b = b.tracing(4).metrics(TimeDelta::from_us(1)).epoch_profiler();
+        b = b.tracing(4).metrics(TimeDelta::from_us(1));
     }
     let mut sys = b.build_chain();
+    if observed {
+        sys.enable_epoch_profiler();
+    }
     sys.apply_workload(&Workload::full_scale(
         RequestKind::ReadOnly,
         RequestSize::new(128).expect("size"),
@@ -39,6 +42,11 @@ fn octet_fingerprint(observed: bool) -> (String, String) {
         sys.run_until_idle(TimeDelta::from_ms(10)),
         "8-cube chain (observed={observed}) failed to drain"
     );
+    if observed {
+        // The step profiler must have been fed by the pump it observes.
+        let prof = sys.epoch_profile().expect("profiler was armed");
+        assert!(prof.epochs() > 0 && prof.shards().iter().any(|s| s.sent > 0));
+    }
     sys.sanitize_check_drained();
     let report = sys.sanitizer_report();
     let s = sys.host_stats();
@@ -62,7 +70,7 @@ fn octet_fingerprint(observed: bool) -> (String, String) {
 
 #[test]
 fn armed_observability_is_bit_inert_on_the_parallel_chain() {
-    // Tracer + per-cube samplers + epoch profiler must not move a single
+    // Tracer + per-cube samplers + step profiler must not move a single
     // byte of the simulation's own results.
     let (bare, bare_json) = octet_fingerprint(false);
     assert!(bare.contains("clean=true"), "chain must sanitize clean");
@@ -88,8 +96,8 @@ fn armed_observability_is_bit_inert_on_the_parallel_chain() {
 }
 
 /// Captures every deterministic observer artifact of one fully-observed
-/// chain run: the merged cube-prefixed gauge stream, the epoch profile,
-/// and the merged trace report (stage counts + Perfetto export).
+/// chain run: the merged cube-prefixed gauge stream and the merged trace
+/// report's Perfetto export.
 fn observer_artifacts() -> String {
     let obs = run_chain_observed(
         &SystemConfig::default(),
@@ -101,30 +109,27 @@ fn observer_artifacts() -> String {
     );
     assert_eq!(obs.integrity_failures, 0);
     let metrics = obs.metrics.expect("metrics were enabled");
-    format!(
-        "{}\n{}\n{}",
-        metrics_json(&metrics),
-        obs.profile.to_json(),
-        obs.report.chrome_json_with_profile(Some(&obs.profile)),
-    )
+    format!("{}\n{}", metrics_json(&metrics), obs.report.chrome_json())
 }
 
 #[test]
 fn observer_artifacts_are_identical_serial_vs_parallel() {
-    // The gauge stream, the epoch profile, and the trace export are all
-    // derived from simulation state only, so the pump must emit the very
-    // bytes every worker count once agreed on. No sanitizer is armed, so
-    // this run also covers the pump's skipping of idle host and device
-    // steps.
+    // The gauge stream and the trace export are derived from simulation
+    // state only, so the pump must emit the very bytes every epoch-worker
+    // count once agreed on. The pin was re-recorded only to drop the
+    // epoch profile and its trace tracks from the artifacts; the gauge
+    // stream and the request trace events kept their bytes. No sanitizer
+    // is armed, so this run also covers the pump's skipping of idle host
+    // and device steps.
     let artifacts = observer_artifacts();
     assert!(artifacts.contains("cube0.host.outstanding"));
     // Hop gauges are named by global edge index: cube 3's port in a
     // 4-cube chain is edge 2.
     assert!(artifacts.contains("cube3.hop.edge2.credits"));
-    assert!(artifacts.contains("\"window_utilization\""));
+    assert!(artifacts.contains("cube1.chain.mailbox"));
     assert_eq!(
         pin::fingerprint(&artifacts),
-        (0xea7e_55d8_5c6d_b5b6, 1_041_904),
+        (0xbfe2_4fe5_b694_f08e, 475_444),
         "observer artifacts drifted"
     );
 }

@@ -91,6 +91,10 @@ fn wedged_chain_dump_shows_credits_per_link() {
         .iter()
         .find(|v| v.class == ViolationClass::Watchdog)
         .expect("no forward progress must trip the watchdog");
+    // The watchdog checks at every pumped instant; it trips at the first
+    // one a span past the last retirement (recorded when it still
+    // checked once per epoch, which tripped at the same instant).
+    assert_eq!(v.at, Time::from_ps(54_600_000), "detail: {}", v.detail);
     assert!(v.detail.contains("waiting_credit"), "detail: {}", v.detail);
     assert_eq!(
         v.detail.matches("credits in use per link").count(),

@@ -267,7 +267,7 @@ const SHARDED_PINS: [(u64, usize); 8] = [
 
 #[test]
 fn sharded_chains_match_pinned_fingerprints() {
-    // The epoch scheduler's whole observable surface, sanitizer report
+    // The chain pump's whole observable surface, sanitizer report
     // included, must reproduce the recorded bytes at every cube count.
     for (cubes, &want) in (1..=8u8).zip(&SHARDED_PINS) {
         let surface = run_sharded(cubes);

@@ -174,7 +174,7 @@ impl<E> EventQueue<E> {
     /// before `limit`; otherwise leaves the queue untouched. This is the
     /// simulation loop's fast path: one call replaces a
     /// `peek_time`-then-`pop` pair, and a `while let` loop over it drains
-    /// an instant (or an epoch) in `(time, seq)` order, picking up events
+    /// an instant in `(time, seq)` order, picking up events
     /// the handlers schedule inside the bound as it goes.
     pub fn pop_before(&mut self, limit: Time) -> Option<(Time, E)> {
         if self.now_buf.is_empty() {

@@ -19,10 +19,9 @@
 //! * [`exec`] — a scoped-thread sweep executor that fans independent
 //!   simulation points across cores while keeping results in input order,
 //!   so sweeps stay bit-identical at any thread count.
-//! * [`pdes`] — conservative sharded-DES scaffolding: per-edge lookahead
-//!   tables, deterministic cross-shard mailboxes drained in total
-//!   `(at, edge, dir, seq)` order, and a deterministic sim-time
-//!   [`pdes::EpochProfiler`].
+//! * [`pdes`] — sharded-DES messaging: deterministic cross-shard
+//!   mailboxes drained in total `(at, edge, dir, seq)` order, and a
+//!   deterministic sim-time per-step [`pdes::EpochProfiler`].
 //! * [`trace`] — always-compiled, zero-overhead-when-disabled lifecycle
 //!   tracing: per-stage span histograms plus a sampled event log with a
 //!   Chrome trace-event (Perfetto) exporter.
@@ -76,4 +75,4 @@ pub use sanitize::{BankOp, Sanitizer, SanitizerReport, Violation, ViolationClass
 pub use series::TimeSeries;
 pub use stats::{BandwidthMeter, Counter, Histogram, TimeWeighted};
 pub use token::TokenBucket;
-pub use trace::{chrome_trace_events, chrome_trace_json, TraceEvent, Tracer};
+pub use trace::{chrome_trace_json, TraceEvent, Tracer};

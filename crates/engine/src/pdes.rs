@@ -1,22 +1,19 @@
-//! Conservative discrete-event scaffolding for sharded simulations:
-//! lookahead windows, deterministic mailboxes, and an epoch profiler.
+//! Cross-shard messaging for a sharded discrete-event simulation, and a
+//! deterministic per-step profile of its pump.
 //!
 //! The engine stays policy-free: this module knows nothing about cubes,
-//! links, or packets. It provides the mechanisms a conservative
-//! (lookahead-based) shard scheduler needs, and the simulation crate
-//! supplies the physics and the serial pump:
+//! links, or packets. The simulation crate owns the shards, the physics
+//! and the one serial pump; this module supplies:
 //!
-//! * [`LookaheadTable`] — per-channel minimum cross-shard latencies fixed
-//!   at build time. Any message a shard emits during the half-open window
-//!   `[a, b)` carries a timestamp `>= b` as long as `b − a` never exceeds
-//!   the global lookahead, so every shard can advance a whole window
-//!   before any neighbour's output for that window is exchanged.
 //! * [`Mailbox`] — a timestamped inbox drained in total [`MsgKey`] order
-//!   `(at, edge, dir, seq)`. Because the key order is total, delivery
-//!   order — and therefore simulation state — does not depend on the
-//!   order in which the scheduler routed the messages.
-//! * [`EpochProfiler`] — a sim-time record of what each shard did in each
-//!   lookahead window (events, envelopes, window utilization, parking).
+//!   `(at, edge, dir, seq)`. A sender pushes straight into the receiver's
+//!   mailbox with a delivery time strictly after the sending instant, so
+//!   the receiver sees the message when its clock reaches that time.
+//!   Because the key order is total, delivery order — and therefore
+//!   simulation state — does not depend on the order messages were
+//!   pushed in.
+//! * [`EpochProfiler`] — a sim-time record of what each shard did at each
+//!   step of the pump (events, messages sent, head-of-line parking).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -39,18 +36,6 @@ pub struct MsgKey {
     pub dir: u8,
     /// Monotonic sequence number within `(edge, dir)`.
     pub seq: u64,
-}
-
-/// An addressed cross-shard message: destination shard plus its ordering
-/// key and payload.
-#[derive(Debug, Clone)]
-pub struct Envelope<M> {
-    /// Destination shard index.
-    pub to: usize,
-    /// Total-order delivery key.
-    pub key: MsgKey,
-    /// Payload (request/response/credit — the simulation crate decides).
-    pub msg: M,
 }
 
 #[derive(Debug)]
@@ -77,8 +62,8 @@ impl<M> Ord for Item<M> {
 }
 
 /// A deterministic timestamped inbox: messages pop in [`MsgKey`] order no
-/// matter the order they were pushed. One per shard; the scheduler
-/// routes [`Envelope`]s into it at epoch boundaries.
+/// matter the order they were pushed. One per shard; it holds every
+/// message in flight toward that shard.
 #[derive(Debug)]
 pub struct Mailbox<M> {
     heap: BinaryHeap<Reverse<Item<M>>>,
@@ -121,11 +106,6 @@ impl<M> Mailbox<M> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Drops all pending messages.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 impl<M> Default for Mailbox<M> {
@@ -134,169 +114,105 @@ impl<M> Default for Mailbox<M> {
     }
 }
 
-/// Per-channel minimum cross-shard message latencies, fixed at topology
-/// build time. The conservative epoch bound is [`LookaheadTable::global`]:
-/// a shard at local time `a` may safely advance to `a + global()` because
-/// no in-flight message can take effect earlier than that.
-#[derive(Debug, Clone)]
-pub struct LookaheadTable {
-    per_edge: Vec<TimeDelta>,
-    global: TimeDelta,
-}
-
-impl LookaheadTable {
-    /// Builds the table from per-edge minimum latencies. Every entry must
-    /// be strictly positive — a zero-latency channel has no conservative
-    /// lookahead and would stall the epoch scheduler.
-    pub fn new(per_edge: Vec<TimeDelta>) -> Self {
-        assert!(!per_edge.is_empty(), "lookahead table needs >= 1 edge");
-        let global = per_edge.iter().copied().min().expect("non-empty");
-        assert!(
-            global > TimeDelta::ZERO,
-            "conservative PDES requires strictly positive lookahead"
-        );
-        LookaheadTable { per_edge, global }
-    }
-
-    /// Minimum message latency across edge `e`.
-    pub fn per_edge(&self, e: usize) -> TimeDelta {
-        self.per_edge[e]
-    }
-
-    /// The global lookahead: the minimum over all edges, i.e. the widest
-    /// epoch window that is still conservative for every shard.
-    pub fn global(&self) -> TimeDelta {
-        self.global
-    }
-
-    /// Number of edges in the table.
-    pub fn edges(&self) -> usize {
-        self.per_edge.len()
-    }
-}
-
-/// Maximum retained epoch spans per shard in the profiler. Busy epochs
-/// past the cap are still counted in the aggregates but drop out of the
-/// Perfetto track; the drop count is reported so truncation is visible.
-const EPOCH_SPAN_CAP: usize = 4096;
-
-/// One recorded epoch on one shard's Perfetto track.
-#[derive(Debug, Clone, Copy)]
-pub struct EpochSpan {
-    /// Epoch window start (inclusive).
-    pub start: Time,
-    /// Epoch window end (exclusive).
-    pub end: Time,
-    /// Events the shard processed inside the window.
-    pub events: u64,
-    /// Cross-shard envelopes the shard emitted during the window.
-    pub sent: u64,
-}
-
-/// What one shard did during one epoch, as observed by the scheduler.
-/// All fields are deltas over the epoch, derived purely from simulation
-/// state — no wall clock is involved, so profiles are bit-identical
-/// across runs.
-#[derive(Debug, Clone, Copy)]
+/// One shard's running totals, as read by the pump after a step. All
+/// fields derive purely from simulation state — no wall clock is
+/// involved, so profiles are bit-identical across runs.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EpochSample {
-    /// Events processed this epoch (host + device + deliveries).
+    /// Events processed (host + device).
     pub events: u64,
-    /// Cross-shard envelopes emitted this epoch.
+    /// Cross-shard messages emitted.
     pub sent: u64,
-    /// Cross-shard envelopes delivered into the shard's mailbox at the
-    /// end of this epoch.
-    pub received: u64,
-    /// The shard's local clock after the epoch (last instant pumped).
-    pub advanced_to: Time,
-    /// Head-of-line parking time accrued this epoch (arrival→delivery
-    /// gaps of messages that had to wait at the receiving shard).
+    /// Head-of-line parking time (arrival→delivery gaps of messages that
+    /// had to wait at the receiving shard).
     pub parked: TimeDelta,
 }
 
 /// The accumulated deterministic profile of one shard.
 #[derive(Debug, Clone, Default)]
 pub struct ShardEpochProfile {
-    /// Epochs the shard participated in.
+    /// Pump steps recorded (every shard is sampled at every step).
     pub epochs: u64,
-    /// Epochs in which the shard processed at least one event.
+    /// Steps in which the shard processed at least one event.
     pub busy_epochs: u64,
     /// Total events processed.
     pub events: u64,
-    /// Total cross-shard envelopes emitted.
+    /// Total cross-shard messages emitted.
     pub sent: u64,
-    /// Total cross-shard envelopes received.
-    pub received: u64,
-    /// Sum over busy epochs of how far into the lookahead window the
-    /// shard's local clock actually advanced; divided by the summed
-    /// window widths this is the lookahead-window utilization.
+    /// Sum of the step windows (see [`EpochProfiler::window_total`]) of
+    /// the shard's busy steps; divided by the window total this is the
+    /// share of simulated time the shard spent doing work.
     pub occupied: TimeDelta,
     /// Total head-of-line parking time.
     pub parked: TimeDelta,
-    /// Retained busy-epoch spans (capped at [`EPOCH_SPAN_CAP`]).
-    pub spans: Vec<EpochSpan>,
-    /// Busy epochs whose spans were dropped once the cap was reached.
-    pub dropped_spans: u64,
 }
 
-/// A deterministic, sim-time profiler for the conservative epoch
-/// scheduler. The scheduler feeds it one [`EpochSample`] per shard after
-/// each lookahead window; armed or not, it reads simulation state
-/// without mutating it (bit-inert).
+/// A deterministic, sim-time profiler for a serial shard pump. The pump
+/// feeds it every shard's [`EpochSample`] totals after each step (one
+/// instant of simulated time), and the profiler accumulates the deltas;
+/// armed or not, it reads simulation state without mutating it
+/// (bit-inert).
+///
+/// A step's *window* is the simulated time the pump's clock advanced to
+/// reach it: the gap from the previous recorded step's instant (zero for
+/// the first step). The `epoch` in its names means one pump step.
 #[derive(Debug, Clone)]
 pub struct EpochProfiler {
     shards: Vec<ShardEpochProfile>,
     epochs: u64,
     window_total: TimeDelta,
+    last_at: Option<Time>,
+    /// Each shard's totals at the last step (or when armed).
+    last: Vec<EpochSample>,
 }
 
 impl EpochProfiler {
-    /// Creates a profiler for `n` shards.
+    /// Creates a profiler for `n` shards whose totals start at zero.
     pub fn new(n: usize) -> Self {
+        EpochProfiler::from_totals(vec![EpochSample::default(); n])
+    }
+
+    /// Creates a profiler for shards whose running totals are `totals`
+    /// now, in shard-index order.
+    pub fn from_totals(totals: Vec<EpochSample>) -> Self {
         EpochProfiler {
-            shards: vec![ShardEpochProfile::default(); n],
+            shards: vec![ShardEpochProfile::default(); totals.len()],
             epochs: 0,
             window_total: TimeDelta::ZERO,
+            last_at: None,
+            last: totals,
         }
     }
 
-    /// Records one epoch `[start, end)`; `samples` holds one entry per
-    /// shard, in shard-index order.
-    pub fn record_epoch(&mut self, start: Time, end: Time, samples: &[EpochSample]) {
-        assert_eq!(samples.len(), self.shards.len(), "one sample per shard");
+    /// Records the pump step at instant `at`; `totals` yields every
+    /// shard's running totals after it, in shard-index order.
+    pub fn record_step(&mut self, at: Time, totals: impl ExactSizeIterator<Item = EpochSample>) {
+        assert_eq!(totals.len(), self.shards.len(), "one total per shard");
+        let window = self.last_at.map_or(TimeDelta::ZERO, |l| at.since(l));
+        self.last_at = Some(at);
         self.epochs += 1;
-        self.window_total += end.since(start);
-        for (p, s) in self.shards.iter_mut().zip(samples) {
+        self.window_total += window;
+        for ((p, last), now) in self.shards.iter_mut().zip(&mut self.last).zip(totals) {
+            let events = now.events - last.events;
             p.epochs += 1;
-            p.events += s.events;
-            p.sent += s.sent;
-            p.received += s.received;
-            p.parked += s.parked;
-            if s.events == 0 {
-                continue;
+            p.events += events;
+            p.sent += now.sent - last.sent;
+            p.parked += now.parked - last.parked;
+            if events > 0 {
+                p.busy_epochs += 1;
+                p.occupied += window;
             }
-            p.busy_epochs += 1;
-            if s.advanced_to > start {
-                p.occupied += s.advanced_to.min(end).since(start);
-            }
-            if p.spans.len() < EPOCH_SPAN_CAP {
-                p.spans.push(EpochSpan {
-                    start,
-                    end,
-                    events: s.events,
-                    sent: s.sent,
-                });
-            } else {
-                p.dropped_spans += 1;
-            }
+            *last = now;
         }
     }
 
-    /// Epochs recorded so far.
+    /// Pump steps recorded so far.
     pub fn epochs(&self) -> u64 {
         self.epochs
     }
 
-    /// Sum of all epoch window widths.
+    /// Sum of all step windows: the simulated time from the first
+    /// recorded step to the last.
     pub fn window_total(&self) -> TimeDelta {
         self.window_total
     }
@@ -304,45 +220,6 @@ impl EpochProfiler {
     /// Per-shard profiles, in shard-index order.
     pub fn shards(&self) -> &[ShardEpochProfile] {
         &self.shards
-    }
-
-    /// Renders the profile as JSON: per-shard aggregates plus the span
-    /// retention counts. Spans themselves go to the Perfetto export.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let w = self.window_total.as_ps().max(1) as f64;
-        write!(
-            out,
-            "{{\"epochs\":{},\"window_total_ps\":{},\"shards\":[",
-            self.epochs,
-            self.window_total.as_ps()
-        )
-        .expect("writing to a String cannot fail");
-        for (i, p) in self.shards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let util = p.occupied.as_ps() as f64 / w;
-            write!(
-                out,
-                "{{\"shard\":{i},\"epochs\":{},\"busy_epochs\":{},\"events\":{},\
-                 \"sent\":{},\"received\":{},\"occupied_ps\":{},\"parked_ps\":{},\
-                 \"window_utilization\":{util:.6},\"spans\":{},\"dropped_spans\":{}}}",
-                p.epochs,
-                p.busy_epochs,
-                p.events,
-                p.sent,
-                p.received,
-                p.occupied.as_ps(),
-                p.parked.as_ps(),
-                p.spans.len(),
-                p.dropped_spans,
-            )
-            .expect("writing to a String cannot fail");
-        }
-        out.push_str("]}");
-        out
     }
 }
 
@@ -381,82 +258,31 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_global_is_min_edge() {
-        let t = LookaheadTable::new(vec![
-            TimeDelta::from_ps(9_000),
-            TimeDelta::from_ps(8_000),
-            TimeDelta::from_ps(12_000),
-        ]);
-        assert_eq!(t.global(), TimeDelta::from_ps(8_000));
-        assert_eq!(t.per_edge(2), TimeDelta::from_ps(12_000));
-        assert_eq!(t.edges(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly positive")]
-    fn lookahead_rejects_zero_latency_edge() {
-        let _ = LookaheadTable::new(vec![TimeDelta::from_ps(100), TimeDelta::ZERO]);
-    }
-
-    #[test]
     fn epoch_profiler_accumulates_per_shard() {
-        let mut p = EpochProfiler::new(2);
-        let d = TimeDelta::from_ps(1_000);
-        let s = |events, sent, adv: u64| EpochSample {
+        let s = |events, sent, parked| EpochSample {
             events,
             sent,
-            received: sent,
-            advanced_to: Time::from_ps(adv),
-            parked: TimeDelta::from_ps(if events > 0 { 10 } else { 0 }),
+            parked: TimeDelta::from_ps(parked),
         };
-        // Epoch [0, 1000): shard 0 busy to 600, shard 1 idle.
-        p.record_epoch(Time::ZERO, Time::ZERO + d, &[s(4, 2, 600), s(0, 0, 0)]);
-        // Epoch [1000, 2000): both busy; shard 1 overshoots the window
-        // end (clamped to the window for utilization).
-        p.record_epoch(
-            Time::from_ps(1_000),
-            Time::from_ps(2_000),
-            &[s(1, 0, 1_500), s(8, 3, 2_500)],
-        );
-        assert_eq!(p.epochs(), 2);
-        assert_eq!(p.window_total(), TimeDelta::from_ps(2_000));
+        let at = Time::from_ps;
+        // Armed with shard 0 already 7 events and 5 messages in.
+        let mut p = EpochProfiler::from_totals(vec![s(7, 5, 0), s(0, 0, 0)]);
+        // Step at 400: the first step has no window. Shard 0 busy.
+        p.record_step(at(400), [s(11, 7, 10), s(0, 0, 0)].into_iter());
+        // Step at 1000: window 600, both busy.
+        p.record_step(at(1_000), [s(12, 7, 20), s(8, 3, 10)].into_iter());
+        // Step at 1500: window 500, only shard 1 busy.
+        p.record_step(at(1_500), [s(12, 7, 20), s(10, 4, 20)].into_iter());
+        assert_eq!(p.epochs(), 3);
+        assert_eq!(p.window_total(), TimeDelta::from_ps(1_100));
         let sh = p.shards();
+        assert_eq!(sh[0].epochs, 3);
         assert_eq!(sh[0].events, 5);
         assert_eq!(sh[0].busy_epochs, 2);
-        assert_eq!(sh[0].occupied, TimeDelta::from_ps(600 + 500));
+        assert_eq!(sh[0].occupied, TimeDelta::from_ps(600));
         assert_eq!(sh[0].parked, TimeDelta::from_ps(20));
-        assert_eq!(sh[0].spans.len(), 2);
-        assert_eq!(sh[1].busy_epochs, 1);
-        assert_eq!(sh[1].occupied, TimeDelta::from_ps(1_000));
-        assert_eq!(sh[1].sent, 3);
-        assert_eq!(sh[1].spans.len(), 1);
-        assert_eq!(sh[1].spans[0].events, 8);
-        let json = p.to_json();
-        assert!(json.contains("\"epochs\":2"));
-        assert!(json.contains("\"window_utilization\""));
-        assert!(json.contains("\"shard\":1"));
-    }
-
-    #[test]
-    fn epoch_profiler_caps_spans_and_counts_drops() {
-        let mut p = EpochProfiler::new(1);
-        for e in 0..(EPOCH_SPAN_CAP as u64 + 10) {
-            let start = Time::from_ps(e * 100);
-            let end = Time::from_ps(e * 100 + 100);
-            p.record_epoch(
-                start,
-                end,
-                &[EpochSample {
-                    events: 1,
-                    sent: 0,
-                    received: 0,
-                    advanced_to: end,
-                    parked: TimeDelta::ZERO,
-                }],
-            );
-        }
-        assert_eq!(p.shards()[0].spans.len(), EPOCH_SPAN_CAP);
-        assert_eq!(p.shards()[0].dropped_spans, 10);
-        assert!(p.to_json().contains("\"dropped_spans\":10"));
+        assert_eq!(sh[1].busy_epochs, 2);
+        assert_eq!(sh[1].occupied, TimeDelta::from_ps(1_100));
+        assert_eq!(sh[1].sent, 4);
     }
 }

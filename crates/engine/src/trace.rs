@@ -169,22 +169,11 @@ impl Tracer {
 /// Renders events as Chrome trace-event JSON (the `traceEvents` array
 /// format Perfetto and `chrome://tracing` load directly). Events are
 /// sorted for deterministic output; each traced request becomes one
-/// `tid` track carrying its stage spans as complete (`"ph":"X"`) events.
+/// `pid:0` / `tid:trace_id` track carrying its stage spans as complete
+/// (`"ph":"X"`) events.
 pub fn chrome_trace_json(events: &[TraceEvent], names: &[&str]) -> String {
     let mut out = String::with_capacity(64 + events.len() * 96);
     out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    chrome_trace_events(events, names, &mut out);
-    out.push_str("]}\n");
-    out
-}
-
-/// Serializes request events as a comma-separated fragment of Chrome
-/// trace-event objects (no surrounding array), appended to `out`.
-/// Callers composing a larger export (e.g. adding per-shard epoch
-/// tracks) use this and supply their own wrapper. Events are sorted for
-/// deterministic output; each traced request becomes one `pid:0` /
-/// `tid:trace_id` track.
-pub fn chrome_trace_events(events: &[TraceEvent], names: &[&str], out: &mut String) {
     let mut sorted: Vec<&TraceEvent> = events.iter().collect();
     sorted.sort_by_key(|e| (e.start, e.trace_id, e.stage));
     for (i, e) in sorted.iter().enumerate() {
@@ -205,6 +194,8 @@ pub fn chrome_trace_events(events: &[TraceEvent], names: &[&str], out: &mut Stri
         )
         .expect("writing to a String cannot fail");
     }
+    out.push_str("]}\n");
+    out
 }
 
 #[cfg(test)]
