@@ -1072,7 +1072,9 @@ impl<B: MemoryBackend> ChainSystem<B> {
     /// [`num_links`](MemoryBackend::num_links). The hop links joining
     /// adjacent cubes stay HMC pass-through serializers (cube chaining is
     /// an HMC-specification feature; the backend only replaces what sits
-    /// behind each cube's host-facing ports).
+    /// behind each cube's host-facing ports). The cubes share one set of
+    /// open-loop tenant samplers, built once here and cloned into each
+    /// host, since they depend only on the tenant mix.
     pub fn with_devices(
         cfg: SystemConfig,
         topo: Topology,
@@ -1089,6 +1091,7 @@ impl<B: MemoryBackend> ChainSystem<B> {
             "hop links need a positive single-flit floor"
         );
         let credit_window = cfg.mem.link_layer.retry_buffer_depth;
+        let zipf = cfg.host.tenant_samplers();
         let mut shards = Vec::with_capacity(n);
         for s in 0..n {
             let device = factory(s, &cfg);
@@ -1097,7 +1100,7 @@ impl<B: MemoryBackend> ChainSystem<B> {
             hc.shard = shard;
             hc.request_id_base = (s as u64) << ORIGIN_SHIFT;
             hc.rng_salt = cfg.host.rng_salt ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let host = Host::new(hc);
+            let host = Host::with_tenant_samplers(hc, zipf.clone());
             let mut ports = Vec::new();
             for b in topo.neighbors(s) {
                 let (e, up) = topo.hop_between(s, b);

@@ -241,7 +241,8 @@ pub struct ZipfSampler {
 
 impl ZipfSampler {
     /// Precomputes the partial zeta sums for `n` items at skew `theta`.
-    /// O(n) once; sampling is O(1).
+    /// O(1) at `theta == 0`, otherwise O(n) once per build; sampling is
+    /// O(1).
     ///
     /// # Panics
     ///
@@ -249,10 +250,19 @@ impl ZipfSampler {
     pub fn new(n: u64, theta: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one item");
         assert!((0.0..1.0).contains(&theta), "theta must be in [0, 1)");
-        let mut zetan = 0.0;
-        for i in 1..=n {
-            zetan += 1.0 / (i as f64).powf(theta);
-        }
+        let zetan = if theta == 0.0 {
+            // Every term is `1 / i^0` = 1.0 exactly, so the sum is `n`
+            // bit for bit for any n below 2^53.
+            n as f64
+        } else {
+            zeta(n, theta)
+        };
+        ZipfSampler::with_zetan(n, theta, zetan)
+    }
+
+    /// Derives the Gray constants from a precomputed normalizer
+    /// `zetan` = ζ(n, θ).
+    fn with_zetan(n: u64, theta: f64, zetan: f64) -> Self {
         let zeta2 = if n >= 2 {
             1.0 + 0.5f64.powf(theta)
         } else {
@@ -298,6 +308,15 @@ impl ZipfSampler {
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
         rank.min(self.n - 1)
     }
+}
+
+/// ζ(n, θ) = Σ_{i=1..n} 1/iᶿ, summed in rank order.
+fn zeta(n: u64, theta: f64) -> f64 {
+    let mut sum = 0.0;
+    for i in 1..=n {
+        sum += 1.0 / (i as f64).powf(theta);
+    }
+    sum
 }
 
 #[cfg(test)]
@@ -437,6 +456,25 @@ mod tests {
         }
         for &c in &counts {
             assert!((8_000..12_000).contains(&c), "bucket {c}");
+        }
+    }
+
+    #[test]
+    fn zipf_theta_zero_matches_summed_normalizer_bit_for_bit() {
+        for n in [1u64, 2, 3, 1000, 1 << 16] {
+            let fast = ZipfSampler::new(n, 0.0);
+            let summed = ZipfSampler::with_zetan(n, 0.0, zeta(n, 0.0));
+            assert_eq!(
+                fast.zetan.to_bits(),
+                summed.zetan.to_bits(),
+                "zetan, n = {n}"
+            );
+            assert_eq!(fast.eta.to_bits(), summed.eta.to_bits(), "eta, n = {n}");
+            let mut a = SplitMix64::new(n ^ 0x5EED);
+            let mut b = SplitMix64::new(n ^ 0x5EED);
+            for _ in 0..10_000 {
+                assert_eq!(fast.sample(&mut a), summed.sample(&mut b), "n = {n}");
+            }
         }
     }
 

@@ -1,6 +1,7 @@
 //! Host controller configuration.
 
 use hmc_types::{ChainShard, Frequency, LinkConfig, TimeDelta};
+use sim_engine::ZipfSampler;
 
 use crate::admission::OpenLoopConfig;
 use crate::controller::{RxPath, TxStages};
@@ -122,6 +123,21 @@ impl HostConfig {
     /// One fabric clock period.
     pub fn cycle(&self) -> TimeDelta {
         self.frequency.period()
+    }
+
+    /// One popularity sampler per open-loop tenant, over its hot set
+    /// (empty without [`openloop`](HostConfig::openloop)). They depend
+    /// only on each tenant's `hot_items` and `zipf_theta`, not on
+    /// [`rng_salt`](HostConfig::rng_salt), so a chain builds them once
+    /// and hands every host a clone through
+    /// [`Host::with_tenant_samplers`](crate::Host::with_tenant_samplers).
+    pub fn tenant_samplers(&self) -> Vec<ZipfSampler> {
+        self.openloop.as_ref().map_or_else(Vec::new, |o| {
+            o.tenants
+                .iter()
+                .map(|spec| ZipfSampler::new(spec.hot_items.max(1), spec.zipf_theta))
+                .collect()
+        })
     }
 }
 

@@ -234,9 +234,16 @@ struct OpenLoopState {
 }
 
 impl OpenLoopState {
-    fn new(o: &OpenLoopConfig, host: &HostConfig) -> Self {
+    fn new(o: &OpenLoopConfig, host: &HostConfig, zipf: Vec<ZipfSampler>) -> Self {
         const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
         assert!(!o.tenants.is_empty(), "open loop needs at least one tenant");
+        assert!(
+            zipf.len() == o.tenants.len()
+                && zipf.iter().zip(&o.tenants).all(|(z, spec)| {
+                    z.items() == spec.hot_items.max(1) && z.theta() == spec.zipf_theta
+                }),
+            "tenant samplers must match the tenant specs"
+        );
         assert!(o.queue_capacity > 0, "admission queue capacity must be > 0");
         assert!(
             o.bp_low <= o.bp_high && o.bp_high <= o.queue_capacity,
@@ -245,7 +252,6 @@ impl OpenLoopState {
         let base = o.seed ^ host.rng_salt;
         let n = o.tenants.len();
         let mut streams = Vec::with_capacity(n);
-        let mut zipf = Vec::with_capacity(n);
         let mut rng = Vec::with_capacity(n);
         let mut buckets = Vec::with_capacity(n);
         for (t, spec) in o.tenants.iter().enumerate() {
@@ -255,7 +261,6 @@ impl OpenLoopState {
                 o.kind,
                 SplitMix64::new(base ^ salt ^ 0xA1),
             ));
-            zipf.push(ZipfSampler::new(spec.hot_items.max(1), spec.zipf_theta));
             rng.push(SplitMix64::new(base ^ salt ^ 0xB2));
             buckets.push(spec.rate_limit_rps.map(|limit| {
                 // Burst capacity ~1 ms of contracted rate, at least 8.
@@ -358,6 +363,18 @@ pub struct Host {
 impl Host {
     /// Builds an idle host.
     pub fn new(cfg: HostConfig) -> Self {
+        let zipf = cfg.tenant_samplers();
+        Host::with_tenant_samplers(cfg, zipf)
+    }
+
+    /// Builds an idle host around prebuilt open-loop tenant samplers, as
+    /// [`HostConfig::tenant_samplers`] makes them. Hosts built from the
+    /// same tenant mix can share one build's samplers by cloning them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `zipf` does not match the tenants' hot sets and skews.
+    pub fn with_tenant_samplers(cfg: HostConfig, zipf: Vec<ZipfSampler>) -> Self {
         let ports = (0..cfg.num_ports)
             .map(|p| {
                 let mut port = GupsPort::new(
@@ -390,10 +407,14 @@ impl Host {
             + robust_slack
             + open_slack
             + 64;
+        assert!(
+            cfg.openloop.is_some() || zipf.is_empty(),
+            "tenant samplers need an open-loop frontend"
+        );
         let open = cfg
             .openloop
             .as_ref()
-            .map(|o| Box::new(OpenLoopState::new(o, &cfg)));
+            .map(|o| Box::new(OpenLoopState::new(o, &cfg, zipf)));
         Host {
             ports,
             nodes,
@@ -2079,6 +2100,15 @@ mod tests {
         assert!(host.open_stats().is_empty());
         assert_eq!(host.admission_queue_len(), 0);
         assert!(!host.backpressure_asserted());
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant samplers must match")]
+    fn tenant_samplers_must_match_the_mix() {
+        let cfg = open_cfg(1.0e7, ShedPolicy::RejectNewest);
+        let mut zipf = cfg.tenant_samplers();
+        zipf.swap(0, 2);
+        let _ = Host::with_tenant_samplers(cfg, zipf);
     }
 
     #[test]
