@@ -14,12 +14,10 @@
 //! hit pays tCL, a miss pays (tRP +) tRCD + tCL, and every access then
 //! waits its turn on the shared data bus.
 
-use std::collections::BTreeMap;
-
 use hmc_types::packet::OpKind;
 use hmc_types::{MemoryRequest, MemoryResponse, Time, TimeDelta};
 use mem_backend::{AddressLayout, BackendOutput, CoreStats, MemoryBackend};
-use sim_engine::{BoundedQueue, EventQueue, MetricsSampler, Sanitizer, Tracer};
+use sim_engine::{BoundedQueue, EventQueue, IdTable, MetricsSampler, Sanitizer, Tracer};
 
 use crate::DdrConfig;
 
@@ -74,7 +72,7 @@ pub struct DdrDevice {
     banks: Vec<BankState>,
     bank_queues: Vec<std::collections::VecDeque<MemoryRequest>>,
     /// Port each in-flight request arrived on (response routing).
-    arrival_port: BTreeMap<u64, usize>,
+    arrival_port: IdTable<usize>,
     bus_free: Time,
     wake_at: Vec<Option<Time>>,
     wake_seq: Vec<u64>,
@@ -106,7 +104,7 @@ impl DdrDevice {
             bank_queues: (0..banks)
                 .map(|_| std::collections::VecDeque::new())
                 .collect(),
-            arrival_port: BTreeMap::new(),
+            arrival_port: IdTable::new(),
             bus_free: Time::ZERO,
             wake_at: vec![None; banks],
             wake_seq: vec![0; banks],
@@ -217,7 +215,7 @@ impl DdrDevice {
             }
             let port = self
                 .arrival_port
-                .remove(&req.id.value())
+                .remove(req.id.value())
                 .expect("every routed request recorded its port");
             let resp = MemoryResponse {
                 id: req.id,

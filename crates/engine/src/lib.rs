@@ -5,6 +5,9 @@
 //! * [`event::EventQueue`] — a time-ordered, FIFO-stable priority queue of
 //!   user-defined events. Simulation crates define their own event enums and
 //!   drive their own main loops.
+//! * [`id_table::IdTable`] — a deterministic open-addressing map from
+//!   request ids to per-request state, for hot lookups that are never
+//!   iterated (tracer boundaries, conservation ledgers, return routing).
 //! * [`queue::BoundedQueue`] — a capacity-limited FIFO with time-weighted
 //!   occupancy statistics, used for bank queues, controller FIFOs, and tag
 //!   pools.
@@ -52,6 +55,7 @@ pub mod arrival;
 pub mod event;
 pub mod exec;
 pub mod fault;
+pub mod id_table;
 pub mod metrics;
 pub mod pdes;
 pub mod queue;
@@ -66,6 +70,7 @@ pub mod trace;
 pub use arrival::{ArrivalKind, ArrivalStream, ZipfSampler};
 pub use event::EventQueue;
 pub use fault::{FaultEvent, FaultKind, FaultScenario};
+pub use id_table::IdTable;
 pub use metrics::MetricsSampler;
 pub use pdes::{EpochProfiler, EpochSample};
 pub use queue::BoundedQueue;

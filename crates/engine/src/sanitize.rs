@@ -34,11 +34,12 @@
 //! overflow) into a [`SanitizerReport`] that merges across components and
 //! exports deterministic JSON.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use hmc_types::spec::DramTimingFloor;
 use hmc_types::Time;
+
+use crate::id_table::IdTable;
 
 /// Hard cap on stored violations; later ones only increment a counter so
 /// a badly corrupted run cannot balloon memory.
@@ -156,10 +157,12 @@ struct BankState {
 pub struct Sanitizer {
     enabled: bool,
     floor: Option<DramTimingFloor>,
-    banks: BTreeMap<u32, BankState>,
+    /// FSM state per device-global bank id, grown on demand.
+    banks: Vec<BankState>,
     credit_pool: Vec<usize>,
     credit_in_use: Vec<usize>,
-    in_flight: BTreeMap<u64, Time>,
+    /// Ids injected and not yet retired.
+    in_flight: IdTable<()>,
     injected: u64,
     retired: u64,
     last_event_time: Time,
@@ -174,10 +177,10 @@ impl Sanitizer {
         Sanitizer {
             enabled: false,
             floor: None,
-            banks: BTreeMap::new(),
+            banks: Vec::new(),
             credit_pool: Vec::new(),
             credit_in_use: Vec::new(),
-            in_flight: BTreeMap::new(),
+            in_flight: IdTable::new(),
             injected: 0,
             retired: 0,
             last_event_time: Time::ZERO,
@@ -289,7 +292,11 @@ impl Sanitizer {
             return;
         }
         self.checks[ViolationClass::DramTiming.index()] += 1;
-        let st = *self.banks.entry(bank).or_default();
+        let b = bank as usize;
+        if b >= self.banks.len() {
+            self.banks.resize(b + 1, BankState::default());
+        }
+        let st = self.banks[b];
         if start < st.busy_until {
             let detail = format!(
                 "bank {bank}: {} ACT at {start} overlaps previous access busy until {}",
@@ -359,7 +366,7 @@ impl Sanitizer {
                 }
             }
         }
-        let st = self.banks.entry(bank).or_default();
+        let st = &mut self.banks[b];
         st.busy_until = st.busy_until.max(busy_until);
         st.last_start = Some(start);
         st.last_data = Some(data_at);
@@ -377,7 +384,7 @@ impl Sanitizer {
         }
         self.checks[ViolationClass::Conservation.index()] += 1;
         self.injected += 1;
-        if self.in_flight.insert(id, now).is_some() {
+        if self.in_flight.insert(id, ()).is_some() {
             let detail = format!("request {id} injected twice without retirement");
             self.record(ViolationClass::Conservation, now, detail);
         }
@@ -391,7 +398,7 @@ impl Sanitizer {
         }
         self.checks[ViolationClass::Conservation.index()] += 1;
         self.retired += 1;
-        if self.in_flight.remove(&id).is_none() {
+        if self.in_flight.remove(id).is_none() {
             let detail = format!("request {id} retired but was never injected (or retired twice)");
             self.record(ViolationClass::Conservation, now, detail);
         }
@@ -404,7 +411,13 @@ impl Sanitizer {
         }
         self.checks[ViolationClass::Conservation.index()] += 1;
         if !self.in_flight.is_empty() {
-            let mut ids: Vec<String> = self.in_flight.keys().take(8).map(u64::to_string).collect();
+            let mut ids: Vec<String> = self
+                .in_flight
+                .sorted_ids()
+                .iter()
+                .take(8)
+                .map(u64::to_string)
+                .collect();
             if self.in_flight.len() > 8 {
                 ids.push("...".to_string());
             }
@@ -808,6 +821,22 @@ mod tests {
         assert_eq!(r.injected(), 2);
         assert_eq!(r.retired(), 1);
         assert_eq!(r.in_flight(), 1);
+    }
+
+    #[test]
+    fn drain_report_lists_the_eight_smallest_ids_in_order() {
+        let mut s = armed();
+        // Injected out of order, two with a chain origin prefix.
+        for id in [900, 5, 77, 3 << 48, 12, 40, 1, 600, 33, 2, 1 << 48, 8] {
+            s.note_inject(id, Time::ZERO);
+        }
+        s.check_drained(Time::from_ps(20));
+        let r = s.report();
+        assert_eq!(r.count_of(ViolationClass::Conservation), 1);
+        assert_eq!(
+            r.violations()[0].detail,
+            "12 requests still in flight at drain (ids 1, 2, 5, 8, 12, 33, 40, 77, ...)"
+        );
     }
 
     #[test]

@@ -17,11 +17,11 @@
 //! another actor (with its own tracer) accounted for the interval in
 //! between.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use hmc_types::{Time, TimeDelta};
 
+use crate::id_table::IdTable;
 use crate::stats::Histogram;
 
 /// One sampled stage span of one traced request.
@@ -53,7 +53,7 @@ pub struct Tracer {
     sample_every: u64,
     names: &'static [&'static str],
     /// Open traces: id → instant of the last recorded boundary.
-    open: BTreeMap<u64, Time>,
+    open: IdTable<Time>,
     stages: Vec<Histogram>,
     events: Vec<TraceEvent>,
 }
@@ -65,7 +65,7 @@ impl Tracer {
             enabled: false,
             sample_every: 1,
             names,
-            open: BTreeMap::new(),
+            open: IdTable::new(),
             stages: vec![Histogram::new(); names.len()],
             events: Vec::new(),
         }
@@ -129,16 +129,17 @@ impl Tracer {
     }
 
     fn record(&mut self, id: u64, stage: usize, at: Time, close: bool) {
-        let Some(slot) = self.open.get_mut(&id) else {
+        let start = if close {
+            self.open.remove(id)
+        } else {
+            self.open
+                .get_mut(id)
+                .map(|boundary| std::mem::replace(boundary, at))
+        };
+        let Some(start) = start else {
             return;
         };
-        let start = *slot;
         self.stages[stage].record(at.since(start));
-        if close {
-            self.open.remove(&id);
-        } else {
-            *slot = at;
-        }
         if id.is_multiple_of(self.sample_every) {
             self.events.push(TraceEvent {
                 trace_id: id,

@@ -18,8 +18,8 @@ use hmc_types::{
     MemoryRequest, MemoryResponse, PortId, RequestId, TenantId, TenantTag, Time, TimeDelta,
 };
 use sim_engine::{
-    ArrivalStream, EventQueue, Histogram, MetricsSampler, Sanitizer, SplitMix64, TokenBucket,
-    Tracer, ViolationClass, ZipfSampler,
+    ArrivalStream, EventQueue, Histogram, IdTable, MetricsSampler, Sanitizer, SplitMix64,
+    TokenBucket, Tracer, ViolationClass, ZipfSampler,
 };
 
 use crate::admission::{OpenLoopConfig, ShedPolicy, TenantOpenStats};
@@ -219,7 +219,7 @@ struct OpenLoopState {
     stats: Vec<TenantOpenStats>,
     /// Arrival instant per issued-but-uncompleted request id, for
     /// arrival-to-completion latency at delivery.
-    issued: BTreeMap<u64, (u16, Time)>,
+    issued: IdTable<(u16, Time)>,
     ledger: OpenLedger,
     /// Generators run between [`Host::start`] and
     /// [`Host::stop_generation`]; stale [`HostEvent::Arrival`] events
@@ -280,7 +280,7 @@ impl OpenLoopState {
             buckets,
             queue: VecDeque::with_capacity(o.queue_capacity),
             stats: vec![TenantOpenStats::default(); n],
-            issued: BTreeMap::new(),
+            issued: IdTable::new(),
             ledger: OpenLedger::default(),
             arrivals_on: false,
             backpressured: false,
@@ -1041,7 +1041,7 @@ impl Host {
         let unblocked = self.ports[p].deliver(&resp);
         let mut open_more = false;
         if let Some(open) = self.open.as_deref_mut() {
-            if let Some((tenant, arrived)) = open.issued.remove(&resp.id.value()) {
+            if let Some((tenant, arrived)) = open.issued.remove(resp.id.value()) {
                 let t = tenant as usize;
                 let latency = now.since(arrived);
                 open.ledger.completed += 1;

@@ -1,13 +1,13 @@
 //! The assembled HMC device: links, crossbar, vaults, refresh, and the
 //! event loop tying them together.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use hmc_types::packet::OpKind;
 use hmc_types::trace::Stage;
 use hmc_types::{MemoryRequest, MemoryResponse, Time, TimeDelta};
 use sim_engine::fault::FaultKind;
-use sim_engine::{EventQueue, MetricsSampler, Sanitizer, Tracer};
+use sim_engine::{EventQueue, IdTable, MetricsSampler, Sanitizer, Tracer};
 
 use crate::config::{MemConfig, PagePolicy};
 use crate::link::{DeviceLink, OutPacket, Transfer};
@@ -198,9 +198,8 @@ pub struct HmcDevice {
     drain_free_at: Time,
     /// Drained writes waiting for a vault input slot.
     drained_waiting: VecDeque<(usize, MemoryRequest)>,
-    /// Link each in-flight request arrived on (keyed by request id;
-    /// ordered map so any state-affecting iteration stays deterministic).
-    arrival_link: BTreeMap<u64, usize>,
+    /// Link each in-flight request arrived on (keyed by request id).
+    arrival_link: IdTable<usize>,
     events: EventQueue<DeviceEvent>,
     /// Structural bound on pending events (with slack) the sanitizer's
     /// queue check uses.
@@ -271,7 +270,7 @@ impl HmcDevice {
             write_buf_used: 0,
             drain_free_at: Time::ZERO,
             drained_waiting: VecDeque::new(),
-            arrival_link: BTreeMap::new(),
+            arrival_link: IdTable::new(),
             events,
             event_bound,
             refresh_multiplier: 1,
@@ -917,7 +916,7 @@ impl HmcDevice {
                     0
                 }
             };
-            let Some(link) = self.arrival_link.remove(&op.req.id.value()) else {
+            let Some(link) = self.arrival_link.remove(op.req.id.value()) else {
                 // The second copy of a duplicated request: an earlier
                 // copy already consumed the routing entry and will (or
                 // did) answer the host. Absorb this response.

@@ -17,14 +17,12 @@
 //! their pseudo-channel by address bits, and responses cross back with
 //! the same fixed latency.
 
-use std::collections::BTreeMap;
-
 use hmc_types::packet::OpKind;
 use hmc_types::{
     AddressMapping, HmcSpec, HmcVersion, MemoryRequest, MemoryResponse, Time, TimeDelta,
 };
 use mem_backend::{AddressLayout, BackendOutput, CoreStats, MemoryBackend};
-use sim_engine::{BoundedQueue, EventQueue, MetricsSampler, Sanitizer, Tracer};
+use sim_engine::{BoundedQueue, EventQueue, IdTable, MetricsSampler, Sanitizer, Tracer};
 
 use crate::config::{DramTiming, MemConfig, PagePolicy, RefreshConfig, VaultConfig};
 use crate::vault::Vault;
@@ -98,7 +96,7 @@ pub struct HbmDevice {
     eligible: Vec<usize>,
     channels: Vec<Vault>,
     /// Port each in-flight request arrived on (response routing).
-    arrival_port: BTreeMap<u64, usize>,
+    arrival_port: IdTable<usize>,
     wake_at: Vec<Option<Time>>,
     wake_seq: Vec<u64>,
     events: EventQueue<HbmEvent>,
@@ -156,7 +154,7 @@ impl HbmDevice {
             eligible: vec![0; cfg.num_ports],
             cfg,
             channels,
-            arrival_port: BTreeMap::new(),
+            arrival_port: IdTable::new(),
             wake_at: vec![None; n],
             wake_seq: vec![0; n],
             events,
@@ -226,7 +224,7 @@ impl HbmDevice {
             }
             let port = self
                 .arrival_port
-                .remove(&op.req.id.value())
+                .remove(op.req.id.value())
                 .expect("every routed request recorded its port");
             let resp = MemoryResponse {
                 id: op.req.id,

@@ -12,7 +12,7 @@ use hmc_core::AccessPattern;
 use hmc_types::address::{Address, AddressMapping, AddressMask, MaxBlockSize};
 use hmc_types::packet::{wire_bytes_per_access, OpKind, RequestSize, TransactionSizes};
 use hmc_types::{HmcSpec, RequestKind, Time, TimeDelta};
-use sim_engine::{BoundedQueue, EventQueue, Histogram, LinearFit, SplitMix64};
+use sim_engine::{BoundedQueue, EventQueue, Histogram, IdTable, LinearFit, SplitMix64};
 
 /// Runs `f` for `n` independently seeded random cases.
 fn cases(n: u64, seed: u64, mut f: impl FnMut(&mut SplitMix64)) {
@@ -266,6 +266,100 @@ fn event_queue_matches_heap_reference_model() {
             assert_eq!(q.pop(), Some((Time::from_ps(t), s)), "drain diverged");
         }
         assert!(q.pop().is_none());
+    });
+}
+
+/// `IdTable` agrees with a `BTreeMap` reference model on every operation:
+/// insert and replace, remove, `get_mut`, `len`, `clear` and
+/// `sorted_ids`. Ids come from dense runs under several origin prefixes,
+/// as chained cubes stamp them, and the population crosses many growths.
+#[test]
+fn id_table_matches_btreemap_reference_model() {
+    use std::collections::BTreeMap;
+    /// Chained cubes put the origin cube index above this bit of an id.
+    const ORIGIN_SHIFT: u32 = 48;
+    let (mut peak, mut clears) = (0, 0);
+    cases(24, 0x1D7, |rng| {
+        let mut t: IdTable<u64> = IdTable::new();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        let origins = rng.next_below(4) + 1;
+        let base = rng.next_below(1 << 32);
+        let span = rng.next_below(3_000) + 16;
+        let ops = rng.next_below(4_000) + 2_000;
+        for step in 0..ops {
+            let id = (rng.next_below(origins) << ORIGIN_SHIFT) | (base + rng.next_below(span));
+            match rng.next_below(20) {
+                0..=9 => assert_eq!(t.insert(id, step), model.insert(id, step), "insert {id}"),
+                10..=15 => assert_eq!(t.remove(id), model.remove(&id), "remove {id}"),
+                16..=18 => {
+                    let got = t.get_mut(id).map(|v| {
+                        *v += 1;
+                        *v
+                    });
+                    let want = model.get_mut(&id).map(|v| {
+                        *v += 1;
+                        *v
+                    });
+                    assert_eq!(got, want, "get_mut {id}");
+                }
+                _ if rng.next_below(200) == 0 => {
+                    t.clear();
+                    model.clear();
+                    clears += 1;
+                }
+                _ => {}
+            }
+            assert_eq!(t.len(), model.len(), "len after {step} ops");
+            assert_eq!(t.is_empty(), model.is_empty());
+            peak = peak.max(t.len());
+        }
+        assert_eq!(t.sorted_ids(), model.keys().copied().collect::<Vec<_>>());
+        // Drain in random order: every removal backward-shifts its run.
+        let mut ids: Vec<u64> = model.keys().copied().collect();
+        while !ids.is_empty() {
+            let id = ids.swap_remove(rng.next_below(ids.len() as u64) as usize);
+            assert_eq!(t.remove(id), model.remove(&id), "drain {id}");
+            assert_eq!(t.get_mut(id), None);
+        }
+        assert!(t.is_empty() && t.sorted_ids().is_empty());
+    });
+    assert!(peak > 2_048, "population peaked at {peak}: too few growths");
+    assert!(clears > 0, "no case cleared the table");
+}
+
+/// Deleting entries whose probe runs wrap past the end of the slot array
+/// keeps every survivor reachable. The ids are chosen by mirroring the
+/// table's Fibonacci hash for its first allocation of 16 slots, so they
+/// crowd the last slot and spill over into slots 0, 1, ...
+#[test]
+fn id_table_deletes_across_the_probe_wrap_around() {
+    use std::collections::BTreeMap;
+    let home16 = |id: u64| id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60;
+    let last: Vec<u64> = (0..).filter(|&id| home16(id) == 15).take(6).collect();
+    let first: Vec<u64> = (0..).filter(|&id| home16(id) <= 1).take(4).collect();
+    cases(32, 0x1D8, |rng| {
+        let mut t: IdTable<u64> = IdTable::new();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        // Ten entries stay under the 12 a 16-slot table holds.
+        let mut ids: Vec<u64> = last.iter().chain(&first).copied().collect();
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        for &id in &ids {
+            assert_eq!(t.insert(id, id), model.insert(id, id));
+        }
+        while !ids.is_empty() {
+            let id = ids.swap_remove(rng.next_below(ids.len() as u64) as usize);
+            assert_eq!(t.remove(id), model.remove(&id), "remove {id}");
+            for (&k, &v) in &model {
+                assert_eq!(
+                    t.get_mut(k).copied(),
+                    Some(v),
+                    "{k} lost after removing {id}"
+                );
+            }
+            assert_eq!(t.sorted_ids(), model.keys().copied().collect::<Vec<_>>());
+        }
     });
 }
 
