@@ -3,7 +3,7 @@
 //!
 //! The host and device each own a [`Tracer`](sim_engine::Tracer); this
 //! module merges the two into a single [`TraceReport`] whose per-stage
-//! histograms telescope — for a drained read stream the stage spans sum
+//! totals telescope — for a drained read stream the stage spans sum
 //! *exactly* (in integer picoseconds) to the end-to-end read latency, so
 //! the Figure 14 breakdown is an attribution, not an estimate.
 //!
@@ -20,7 +20,7 @@ use hmc_types::trace::Stage;
 use hmc_types::{Time, TimeDelta};
 use mem_backend::{BackendKind, MemoryBackend};
 use sim_engine::stats::Histogram;
-use sim_engine::trace::{chrome_trace_json, TraceEvent};
+use sim_engine::trace::{chrome_trace_json, StageTotals, TraceEvent};
 use sim_engine::MetricsSampler;
 
 use crate::builder::SystemBuilder;
@@ -31,7 +31,7 @@ use crate::topology::{ChainSystem, Topology};
 /// The merged host + device lifecycle trace of one run.
 #[derive(Debug, Clone)]
 pub struct TraceReport {
-    stages: Vec<Histogram>,
+    stages: Vec<StageTotals>,
     events: Vec<TraceEvent>,
 }
 
@@ -48,7 +48,7 @@ impl TraceReport {
     /// [`Stage::HopLink`]) — into one report. A one-cube chain's hop
     /// tracer stays empty.
     pub fn from_chain<B: MemoryBackend>(sys: &ChainSystem<B>) -> Self {
-        let mut stages = vec![Histogram::new(); Stage::COUNT];
+        let mut stages = vec![StageTotals::default(); Stage::COUNT];
         let mut events: Vec<TraceEvent> = Vec::new();
         for s in 0..sys.cubes() {
             for t in [
@@ -56,7 +56,7 @@ impl TraceReport {
                 sys.device(s).tracer(),
                 sys.hop_tracer(s),
             ] {
-                for (mine, theirs) in stages.iter_mut().zip(t.stage_histograms()) {
+                for (mine, theirs) in stages.iter_mut().zip(t.stage_totals()) {
                     mine.merge(theirs);
                 }
                 events.extend_from_slice(t.events());
@@ -65,8 +65,8 @@ impl TraceReport {
         TraceReport { stages, events }
     }
 
-    /// The span histogram of one stage.
-    pub fn stage(&self, stage: Stage) -> &Histogram {
+    /// The span totals of one stage.
+    pub fn stage(&self, stage: Stage) -> &StageTotals {
         &self.stages[stage.index()]
     }
 

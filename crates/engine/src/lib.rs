@@ -26,7 +26,7 @@
 //!   mailboxes drained in total `(at, edge, dir, seq)` order, and a
 //!   deterministic sim-time per-step [`pdes::EpochProfiler`].
 //! * [`trace`] — always-compiled, zero-overhead-when-disabled lifecycle
-//!   tracing: per-stage span histograms plus a sampled event log with a
+//!   tracing: exact per-stage span totals plus a sampled event log with a
 //!   Chrome trace-event (Perfetto) exporter.
 //! * [`metrics`] — a named-gauge registry with a deterministic periodic
 //!   sampler producing aligned time series.
@@ -80,4 +80,4 @@ pub use sanitize::{BankOp, Sanitizer, SanitizerReport, Violation, ViolationClass
 pub use series::TimeSeries;
 pub use stats::{BandwidthMeter, Counter, Histogram, TimeWeighted};
 pub use token::TokenBucket;
-pub use trace::{chrome_trace_json, TraceEvent, Tracer};
+pub use trace::{chrome_trace_json, StageTotals, TraceEvent, Tracer};

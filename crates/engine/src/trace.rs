@@ -1,12 +1,14 @@
 //! Per-request lifecycle tracing: stage-transition spans accumulated into
-//! per-stage histograms, plus a sampled event log exportable as Chrome
-//! trace-event JSON (loadable in Perfetto / `chrome://tracing`).
+//! exact per-stage totals (span count and summed picoseconds), plus a
+//! sampled event log exportable as Chrome trace-event JSON (loadable in
+//! Perfetto / `chrome://tracing`).
 //!
 //! The tracer is always compiled in and owned by each simulation actor,
 //! but **disabled by default**: every recording method begins with an
 //! `enabled` check and returns immediately, so the steady-state cost of a
 //! disabled tracer is one predictable branch per call site — no
-//! allocation, no hashing, no histogram update.
+//! allocation, no hashing, no totals update. An enabled tracer's memory
+//! grows only with its sampled event log; the totals are fixed-size.
 //!
 //! The engine stays policy-free: stages are plain indices into a static
 //! name table the owning crate supplies (the HMC stage vocabulary lives in
@@ -22,7 +24,70 @@ use std::fmt::Write as _;
 use hmc_types::{Time, TimeDelta};
 
 use crate::id_table::IdTable;
-use crate::stats::Histogram;
+
+/// Exact totals of one stage's spans: how many, and their summed length.
+///
+/// Count, total and mean use exactly
+/// [`Histogram`](crate::stats::Histogram)'s arithmetic (`u128` picosecond
+/// sum, truncating mean, total saturating at `u64::MAX`) without its
+/// sample reservoir; attribution reads nothing else.
+///
+/// ```
+/// use sim_engine::trace::StageTotals;
+/// use hmc_types::TimeDelta;
+///
+/// let mut s = StageTotals::default();
+/// for ns in [10, 20, 31] {
+///     s.record(TimeDelta::from_ns(ns));
+/// }
+/// assert_eq!(s.count(), 3);
+/// assert_eq!(s.total(), TimeDelta::from_ns(61));
+/// assert_eq!(s.mean().as_ps(), 20_333);
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageTotals {
+    count: u64,
+    sum_ps: u128,
+}
+
+impl StageTotals {
+    /// Adds one span.
+    #[inline]
+    pub fn record(&mut self, span: TimeDelta) {
+        self.count += 1;
+        self.sum_ps += u128::from(span.as_ps());
+    }
+
+    /// Spans recorded.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// True if no span has been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Sum of every span (saturating at `u64::MAX` picoseconds).
+    pub fn total(&self) -> TimeDelta {
+        TimeDelta::from_ps(u64::try_from(self.sum_ps).unwrap_or(u64::MAX))
+    }
+
+    /// Mean span, truncated to whole picoseconds (zero if empty).
+    pub fn mean(&self) -> TimeDelta {
+        if self.count == 0 {
+            TimeDelta::ZERO
+        } else {
+            TimeDelta::from_ps((self.sum_ps / u128::from(self.count)) as u64)
+        }
+    }
+
+    /// Adds another accumulator's spans to this one.
+    pub fn merge(&mut self, other: &StageTotals) {
+        self.count += other.count;
+        self.sum_ps += other.sum_ps;
+    }
+}
 
 /// One sampled stage span of one traced request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,12 +114,12 @@ impl TraceEvent {
 pub struct Tracer {
     enabled: bool,
     /// Requests whose trace id is a multiple of this are kept in the
-    /// event log (histograms always see every request).
+    /// event log (the stage totals always see every request).
     sample_every: u64,
     names: &'static [&'static str],
     /// Open traces: id → instant of the last recorded boundary.
     open: IdTable<Time>,
-    stages: Vec<Histogram>,
+    stages: Vec<StageTotals>,
     events: Vec<TraceEvent>,
 }
 
@@ -66,12 +131,12 @@ impl Tracer {
             sample_every: 1,
             names,
             open: IdTable::new(),
-            stages: vec![Histogram::new(); names.len()],
+            stages: vec![StageTotals::default(); names.len()],
             events: Vec::new(),
         }
     }
 
-    /// Enables recording. Every request feeds the per-stage histograms;
+    /// Enables recording. Every request feeds the per-stage totals;
     /// one in `sample_every` (by trace id) is additionally kept in the
     /// event log for export (0 is treated as 1).
     pub fn enable(&mut self, sample_every: u64) {
@@ -150,8 +215,8 @@ impl Tracer {
         }
     }
 
-    /// Per-stage span histograms, indexed by stage.
-    pub fn stage_histograms(&self) -> &[Histogram] {
+    /// Per-stage span totals, indexed by stage.
+    pub fn stage_totals(&self) -> &[StageTotals] {
         &self.stages
     }
 
@@ -219,7 +284,7 @@ mod tests {
         t.transition(1, 0, Time::from_ps(10));
         t.finish(1, 1, Time::from_ps(20));
         assert!(t.events().is_empty());
-        assert!(t.stage_histograms().iter().all(|h| h.is_empty()));
+        assert!(t.stage_totals().iter().all(|s| s.is_empty()));
         assert_eq!(t.open_traces(), 0);
     }
 
@@ -230,11 +295,11 @@ mod tests {
         t.transition(7, 0, Time::from_ps(150));
         t.transition(7, 1, Time::from_ps(400));
         t.finish(7, 2, Time::from_ps(1_000));
-        let h = t.stage_histograms();
-        assert_eq!(h[0].total().as_ps(), 50);
-        assert_eq!(h[1].total().as_ps(), 250);
-        assert_eq!(h[2].total().as_ps(), 600);
-        let sum: u64 = h.iter().map(|h| h.total().as_ps()).sum();
+        let s = t.stage_totals();
+        assert_eq!(s[0].total().as_ps(), 50);
+        assert_eq!(s[1].total().as_ps(), 250);
+        assert_eq!(s[2].total().as_ps(), 600);
+        let sum: u64 = s.iter().map(|s| s.total().as_ps()).sum();
         assert_eq!(sum, 900, "stages cover begin..finish exactly");
         assert_eq!(t.open_traces(), 0);
         assert_eq!(t.events().len(), 3);
@@ -248,8 +313,8 @@ mod tests {
         // 10..90 accounted elsewhere.
         t.rebase(2, Time::from_ps(90));
         t.finish(2, 1, Time::from_ps(100));
-        assert_eq!(t.stage_histograms()[0].total().as_ps(), 10);
-        assert_eq!(t.stage_histograms()[1].total().as_ps(), 10);
+        assert_eq!(t.stage_totals()[0].total().as_ps(), 10);
+        assert_eq!(t.stage_totals()[1].total().as_ps(), 10);
     }
 
     #[test]
@@ -258,19 +323,19 @@ mod tests {
         t.transition(99, 0, Time::from_ps(10));
         t.finish(99, 1, Time::from_ps(20));
         assert!(t.events().is_empty());
-        assert!(t.stage_histograms().iter().all(|h| h.is_empty()));
+        assert!(t.stage_totals().iter().all(|s| s.is_empty()));
     }
 
     #[test]
-    fn sampling_keeps_histograms_complete() {
+    fn sampling_keeps_stage_totals_complete() {
         let mut t = Tracer::new(&NAMES);
         t.enable(4);
         for id in 0..8u64 {
             t.begin(id, Time::ZERO);
             t.finish(id, 0, Time::from_ps(5));
         }
-        // Histograms see all 8; the event log keeps ids 0 and 4 only.
-        assert_eq!(t.stage_histograms()[0].count(), 8);
+        // The totals see all 8; the event log keeps ids 0 and 4 only.
+        assert_eq!(t.stage_totals()[0].count(), 8);
         let ids: Vec<u64> = t.events().iter().map(|e| e.trace_id).collect();
         assert_eq!(ids, vec![0, 4]);
     }

@@ -325,6 +325,9 @@ pub struct Host {
     cfg: HostConfig,
     ports: Vec<GupsPort>,
     nodes: Vec<TxNode>,
+    /// Bit `n` is set while node `n` waits for device credit (mirrors
+    /// [`TxNode::waiting_credit`]).
+    stalled_nodes: u64,
     parked_no_tags: Vec<bool>,
     parked_node_full: Vec<bool>,
     issue_pending: Vec<bool>,
@@ -387,9 +390,10 @@ impl Host {
                 port
             })
             .collect();
-        let nodes = (0..cfg.links.num_links() as usize)
+        let nodes: Vec<TxNode> = (0..cfg.links.num_links() as usize)
             .map(|l| TxNode::new(l, cfg.node_queue_depth))
             .collect();
+        assert!(nodes.len() <= 64, "every node fits the stalled-node mask");
         // Every in-flight request and queued node packet owns at most one
         // pending event, so this bound avoids warm-up reallocations. The
         // robustness layer adds at most one backoff event per in-flight
@@ -418,6 +422,7 @@ impl Host {
         Host {
             ports,
             nodes,
+            stalled_nodes: 0,
             parked_no_tags: vec![false; cfg.num_ports],
             parked_node_full: vec![false; cfg.num_ports],
             issue_pending: vec![false; cfg.num_ports],
@@ -593,13 +598,14 @@ impl Host {
     pub fn notify_credit(&mut self, link: usize, free_slots: usize, now: Time) {
         if self.nodes[link].waiting_credit() && free_slots > self.nodes[link].in_flight() {
             self.nodes[link].grant_credit();
+            self.stalled_nodes &= !(1 << link);
             self.kick_node(link, now.max(self.now));
         }
     }
 
     /// True if any node is stalled waiting for device credit.
     pub fn any_node_stalled(&self) -> bool {
-        self.nodes.iter().any(|n| n.waiting_credit())
+        self.stalled_nodes != 0
     }
 
     /// Requests issued and not yet delivered back.
@@ -747,6 +753,7 @@ impl Host {
         for n in &mut self.nodes {
             n.reset_transport();
         }
+        self.stalled_nodes = 0;
         for f in &mut self.parked_no_tags {
             *f = false;
         }
@@ -1514,7 +1521,8 @@ impl Host {
                 self.wake_node_ports(n, now);
             }
             TxStart::NotReady(t) | TxStart::WireBusy(t) => self.kick_node(n, t),
-            TxStart::NeedCredit | TxStart::Empty => {}
+            TxStart::NeedCredit => self.stalled_nodes |= 1 << n,
+            TxStart::Empty => {}
         }
     }
 

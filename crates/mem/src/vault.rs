@@ -45,6 +45,9 @@ pub struct Vault {
     id: u16,
     input: BoundedQueue<MemoryRequest>,
     bank_queues: Vec<BoundedQueue<MemoryRequest>>,
+    /// Bit `b` is set while bank `b`'s queue holds work, so the start
+    /// and wake-up scans visit only those banks.
+    queued_banks: u64,
     banks: Vec<Bank>,
     bus_free_at: Time,
     timing: DramTiming,
@@ -58,12 +61,17 @@ impl Vault {
     /// Creates an idle vault with the configured queue depths.
     pub fn new(id: u16, config: &MemConfig) -> Self {
         let banks = config.spec.banks_per_vault() as usize;
+        assert!(
+            banks <= 64,
+            "{banks} banks per vault do not fit the queued-bank mask"
+        );
         Vault {
             id,
             input: BoundedQueue::new(config.vault.input_fifo_depth),
             bank_queues: (0..banks)
                 .map(|_| BoundedQueue::new(config.vault.bank_queue_depth))
                 .collect(),
+            queued_banks: 0,
             banks: vec![Bank::new(); banks],
             bus_free_at: Time::ZERO,
             timing: config.dram,
@@ -110,6 +118,7 @@ impl Vault {
             self.bank_queues[bank]
                 .try_push(req, now)
                 .expect("checked for space");
+            self.queued_banks |= 1 << bank;
             moved += 1;
         }
         moved
@@ -131,13 +140,15 @@ impl Vault {
         out: &mut Vec<StartedOp>,
         sanitizer: &mut Sanitizer,
     ) {
-        for bank_idx in 0..self.banks.len() {
-            if !self.banks[bank_idx].is_free(now) || self.bank_queues[bank_idx].is_empty() {
+        for bank_idx in set_bits(self.queued_banks) {
+            if !self.banks[bank_idx].is_free(now) {
                 continue;
             }
-            let req = self.bank_queues[bank_idx]
-                .pop(now)
-                .expect("checked non-empty");
+            let queue = &mut self.bank_queues[bank_idx];
+            let req = queue.pop(now).expect("queued-bank bit set");
+            if queue.is_empty() {
+                self.queued_banks &= !(1 << bank_idx);
+            }
             let op = self.run_on_bank(bank_idx, req, now, sanitizer);
             out.push(op);
         }
@@ -221,17 +232,15 @@ impl Vault {
         for q in &mut self.bank_queues {
             while q.pop(now).is_some() {}
         }
+        self.queued_banks = 0;
         self.hold_all(now);
     }
 
     /// Earliest instant any bank with queued work becomes free, if any —
     /// lets the device schedule the next dispatch opportunity.
     pub fn next_bank_ready(&self) -> Option<Time> {
-        self.banks
-            .iter()
-            .zip(&self.bank_queues)
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(b, _)| b.next_free())
+        set_bits(self.queued_banks)
+            .map(|b| self.banks[b].next_free())
             .min()
     }
 
@@ -265,6 +274,17 @@ impl Vault {
     fn bank_of(&self, req: &MemoryRequest) -> usize {
         self.mapping.decode(req.addr, &self.spec).bank.index() as usize
     }
+}
+
+/// The indices of `mask`'s set bits, ascending.
+fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
 }
 
 #[cfg(test)]
@@ -471,6 +491,31 @@ mod tests {
         assert_eq!(v.next_bank_ready(), Some(Time::from_ps(350_000)));
         v.start_ready(Time::from_ps(350_000), &mut out);
         assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn reset_state_forgets_queued_banks() {
+        let mut v = Vault::new(0, &config());
+        for bank in [1, 5] {
+            v.accept(read_req(bank, addr_for(bank, 0), 128), Time::ZERO)
+                .unwrap();
+        }
+        v.drain_input(Time::ZERO);
+        v.reset_state(Time::from_ps(1_000));
+        assert_eq!(v.queued(), 0);
+        assert_eq!(v.next_bank_ready(), None, "no bank has queued work");
+        let mut out = Vec::new();
+        v.start_ready(Time::from_ps(1_000), &mut out);
+        assert!(out.is_empty());
+        // Work queued after the reset starts in ascending bank order.
+        for bank in [9, 2] {
+            v.accept(read_req(bank, addr_for(bank, 1), 128), Time::from_ps(1_000))
+                .unwrap();
+        }
+        v.drain_input(Time::from_ps(1_000));
+        v.start_ready(Time::from_ps(1_000), &mut out);
+        let banks: Vec<usize> = out.iter().map(|op| op.bank).collect();
+        assert_eq!(banks, vec![2, 9]);
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! Backend-conformance suite: every [`BackendKind`] preset must honor
 //! the `MemoryBackend` contract — request conservation at drain,
 //! monotonic `next_time`, bit-identical double runs — and the HMC
-//! device behind the trait must stay byte-identical to the
-//! pre-refactor golden artifacts in `tests/golden/`.
+//! device behind the trait must stay byte-identical to the golden
+//! artifacts in `tests/golden/`: the observed-window trace and metrics,
+//! the two latency-attribution tables and the sanitizer report.
 
 use hmc_core::backends;
+use hmc_core::experiments::latency::{figure14_breakdown, figure14_breakdown_table};
 use hmc_core::hmc_host::Workload;
 use hmc_core::hmc_mem::{HbmConfig, HbmDevice};
 use hmc_core::measure::{run_backend_measurement, MeasureConfig};
 use hmc_core::mem_backend::{BackendKind, MemoryBackend};
-use hmc_core::observe::run_window_observed;
-use hmc_core::{JsonReport, SystemBuilder, SystemConfig};
+use hmc_core::observe::{run_chain_observed, run_window_observed};
+use hmc_core::sanitize::fig9_bandwidth_subset;
+use hmc_core::{JsonReport, SystemBuilder, SystemConfig, Topology};
 use hmc_types::address::MaxBlockSize;
 use hmc_types::packet::OpKind;
 use hmc_types::{
@@ -171,6 +174,52 @@ fn hmc_behind_trait_matches_golden_artifacts() {
         include_str!("golden/metrics.json"),
         "metrics artifact diverged from the pre-refactor golden"
     );
+}
+
+/// `repro figure fig14 --breakdown`'s attribution table, byte for byte:
+/// every stage's count, mean and per-request share comes from the
+/// tracers' per-stage totals.
+#[test]
+fn figure14_attribution_matches_golden_table() {
+    let obs = figure14_breakdown(&SystemConfig::default(), RequestSize::MAX);
+    assert_eq!(
+        figure14_breakdown_table(&obs, RequestSize::MAX).to_string(),
+        include_str!("golden/fig14_breakdown.txt"),
+    );
+}
+
+/// The 4-cube chain attribution table `repro chain --cubes 4
+/// --breakdown` prints: twelve tracers (host, device and hop per cube)
+/// merged into one report.
+#[test]
+fn chain_attribution_matches_golden_table() {
+    let obs = run_chain_observed(
+        &SystemConfig::default(),
+        Topology::chain(4),
+        &Workload::read_stream(256, RequestSize::new(64).expect("valid")),
+        None,
+        8,
+        Some(TimeDelta::from_us(1)),
+    );
+    assert_eq!(
+        obs.report
+            .attribution_table("chain latency attribution", &obs.latency)
+            .to_string(),
+        include_str!("golden/chain4_attribution.txt"),
+    );
+}
+
+/// The sanitizer report `repro sanitize --json` writes: the Figure 9
+/// subset with the sanitizer armed over `hmc_bench::bench_mc()`'s default
+/// window. Its check counts include one per host and device pump call.
+#[test]
+fn sanitized_fig9_subset_matches_golden_report() {
+    let mc = MeasureConfig {
+        warmup: TimeDelta::from_us(100),
+        window: TimeDelta::from_us(600),
+    };
+    let run = fig9_bandwidth_subset(&SystemConfig::default(), &mc, true);
+    assert_eq!(run.report.json(), include_str!("golden/sanitize.json"));
 }
 
 /// A backend whose decoder disagrees with the host's interleave is

@@ -12,7 +12,9 @@ use hmc_core::AccessPattern;
 use hmc_types::address::{Address, AddressMapping, AddressMask, MaxBlockSize};
 use hmc_types::packet::{wire_bytes_per_access, OpKind, RequestSize, TransactionSizes};
 use hmc_types::{HmcSpec, RequestKind, Time, TimeDelta};
-use sim_engine::{BoundedQueue, EventQueue, Histogram, IdTable, LinearFit, SplitMix64};
+use sim_engine::{
+    BoundedQueue, EventQueue, Histogram, IdTable, LinearFit, SplitMix64, StageTotals,
+};
 
 /// Runs `f` for `n` independently seeded random cases.
 fn cases(n: u64, seed: u64, mut f: impl FnMut(&mut SplitMix64)) {
@@ -411,6 +413,60 @@ fn histogram_matches_reference() {
         assert_eq!(h.quantile(0.0).unwrap().as_ps(), min);
         assert_eq!(h.quantile(1.0).unwrap().as_ps(), max);
     });
+}
+
+/// A span for the stage-totals property: mostly nanosecond-scale, some
+/// beyond 2^32 ps, and rarely large enough that a few of them saturate a
+/// `u64` picosecond total.
+fn any_span(rng: &mut SplitMix64) -> TimeDelta {
+    let ps = match rng.next_below(16) {
+        0..=9 => rng.next_below(10_000_000),
+        10..=14 => (1 << 32) + rng.next_below(1 << 40),
+        _ => rng.next_below(u64::MAX >> 2),
+    };
+    TimeDelta::from_ps(ps)
+}
+
+fn assert_same_totals(s: &StageTotals, h: &Histogram, ctx: &str) {
+    assert_eq!(s.count(), h.count(), "{ctx}: count");
+    assert_eq!(s.is_empty(), h.is_empty(), "{ctx}: is_empty");
+    assert_eq!(s.total(), h.total(), "{ctx}: total");
+    assert_eq!(s.mean(), h.mean(), "{ctx}: mean");
+}
+
+/// `StageTotals` keeps exactly `Histogram`'s count, total and mean —
+/// after every record and across merges — so trace attribution reads the
+/// same numbers without a sample reservoir.
+#[test]
+fn stage_totals_match_histogram_count_total_and_mean() {
+    let mut saturated = 0;
+    cases(64, 0xA1F, |rng| {
+        let parts = rng.next_below(4) + 1;
+        let mut whole = (StageTotals::default(), Histogram::new());
+        let mut merged = (StageTotals::default(), Histogram::new());
+        assert_same_totals(&whole.0, &whole.1, "empty");
+        for part in 0..parts {
+            let mut piece = (StageTotals::default(), Histogram::new());
+            for i in 0..rng.next_below(200) {
+                let span = any_span(rng);
+                piece.0.record(span);
+                piece.1.record(span);
+                whole.0.record(span);
+                whole.1.record(span);
+                let ctx = format!("part {part} record {i} span {span:?}");
+                assert_same_totals(&piece.0, &piece.1, &ctx);
+                assert_same_totals(&whole.0, &whole.1, &ctx);
+            }
+            merged.0.merge(&piece.0);
+            merged.1.merge(&piece.1);
+            assert_same_totals(&merged.0, &merged.1, &format!("merge {part}"));
+        }
+        assert_eq!(merged.0, whole.0, "merging parts equals one pass");
+        if whole.1.total() == TimeDelta::from_ps(u64::MAX) {
+            saturated += 1;
+        }
+    });
+    assert!(saturated > 0, "some case saturates the u64 total");
 }
 
 /// Linear regression recovers exact lines from noiseless samples.
