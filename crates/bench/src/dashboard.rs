@@ -379,6 +379,39 @@ mod tests {
         assert!(panel.contains("bw history"));
     }
 
+    #[test]
+    fn frames_carry_the_sample_stamped_at_their_instant() {
+        // Each frame's gauges are the samples stamped at the frame's own
+        // instant: the step to a frame bound flushes the sample due
+        // there, so no frame shows its predecessor's gauges.
+        let mut sys = SystemBuilder::new(SystemConfig::default())
+            .topology(Topology::chain(4))
+            .metrics(TimeDelta::from_us(1))
+            .build_chain();
+        sys.apply_workload(&Workload::full_scale(
+            RequestKind::ReadOnly,
+            RequestSize::new(64).unwrap(),
+        ));
+        sys.start(Time::ZERO);
+        let mut dash = Dashboard::new(sys.cubes(), 4);
+        for _ in 0..6 {
+            sys.run_for(TimeDelta::from_us(1));
+            dash.capture(&sys);
+            let frame = dash.frames().last().expect("frame captured");
+            for (s, c) in frame.cubes.iter().enumerate() {
+                let smp = sys.metrics(s).expect("metrics enabled");
+                for (name, shown) in [
+                    ("host.outstanding", c.outstanding),
+                    ("device.vault_queued", c.vault_queued),
+                    ("chain.mailbox", c.mailbox),
+                ] {
+                    let last = smp.get(name).and_then(|x| x.points().last().copied());
+                    assert_eq!(last, Some((frame.at, shown)), "cube {s} {name}");
+                }
+            }
+        }
+    }
+
     /// The frame stream of a saturated 4-cube chain is pinned by its
     /// FNV-1a 64 hash and byte length. Every field but `mailbox` carries
     /// the bytes recorded when the chain could still run on 1 or 4 epoch

@@ -42,12 +42,16 @@
 //! same instants and the same inputs at each, whatever the cube order.
 //! See DESIGN.md §10–§11.
 //!
-//! A single cube has no edges: it runs its own pump
-//! ([`ChainSystem::step_until`]), which visits every host and device
-//! instant in host→device→credits→sampler order. [`crate::System`] is
+//! A single cube is the same pump over one shard with no edges, so it
+//! never touches a mailbox or a hop serializer. [`crate::System`] is
 //! exactly that one-cube chain, so both types share one construction
-//! path and one copy of the tracing, metrics, sanitizer, fault,
-//! thermal-recovery and watchdog wiring.
+//! path, one pump and one copy of the tracing, metrics, sanitizer,
+//! fault, thermal-recovery and watchdog wiring.
+//!
+//! Observers never add an instant: the pump never wakes for a metrics
+//! sample alone. A sample due at `d` is recorded at the first instant
+//! at or after `d`, and each step flushes the samples due by its bound
+//! (see [`ChainSystem::step_until`]).
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -248,6 +252,16 @@ impl fmt::Display for Topology {
 /// The origin cube a request id encodes (the issuing host's shard).
 fn origin_of(id: u64) -> usize {
     (id >> ORIGIN_SHIFT) as usize
+}
+
+/// The earlier of two optional instants (`None` means "no work").
+#[inline]
+fn earliest(a: Option<Time>, b: Option<Time>) -> Option<Time> {
+    match (a, b) {
+        (Some(x), Some(y)) => Some(x.min(y)),
+        (x, None) => x,
+        (None, y) => y,
+    }
 }
 
 /// Rebuilds the response record an [`OutPacket`] carries, stamped at `now`
@@ -564,23 +578,16 @@ impl<B: MemoryBackend> CubeShard<B> {
     }
 
     /// Earliest instant at which this shard has work: a host or device
-    /// event, an undelivered message in its `inbox`, a pending transmit
-    /// start, or a metrics sample. Parked request heads are deliberately
-    /// excluded — they retry when the event that frees their next stage
-    /// fires. Used only on the multi-cube path (the single-cube pump
-    /// looks at the host and the device alone, sampler excluded).
+    /// event, an undelivered message in its `inbox`, or a pending
+    /// transmit start. Parked request heads are deliberately excluded —
+    /// they retry when the event that frees their next stage fires — and
+    /// so are metrics samples, which never wake the pump.
+    #[inline]
     fn next_time(&self, inbox: &Mailbox<HopMsg>) -> Option<Time> {
-        let sample = self.sampler.as_ref().and_then(|s| s.due_before(Time::MAX));
-        [
-            self.host.next_time(),
-            self.device.next_time(),
-            inbox.peek_at(),
-            sample,
-            self.hop_next,
-        ]
-        .into_iter()
-        .flatten()
-        .min()
+        earliest(
+            earliest(self.host.next_time(), self.device.next_time()),
+            earliest(inbox.peek_at(), self.hop_next),
+        )
     }
 
     /// The running totals the step profiler takes deltas of: events
@@ -631,15 +638,75 @@ impl<B: MemoryBackend> CubeShard<B> {
     ///
     /// Only the work due at `t` runs. The host and the device advance
     /// only when they have an event at `t` (or an armed sanitizer, whose
-    /// per-call queue-bound check is part of its report), and the hop
-    /// sweep visits only active sub-links that are not idle at `t`. Every
-    /// skipped call would have changed nothing but the component's local
-    /// clock, which no chain path reads, so the shard computes
-    /// bit-identical states.
+    /// per-call queue-bound check is part of its report); the hop sweep
+    /// runs only while some sub-link is active, and then visits only
+    /// active sub-links that are not idle at `t`. Every skipped call
+    /// would have changed nothing but the component's local clock, which
+    /// no chain path reads, so the shard computes bit-identical states.
+    /// The steps that only some instants need (inbox delivery, hop
+    /// forwarding and sweeping, sampling) sit in functions kept out of
+    /// line, so the per-instant path of a busy cube stays short.
     fn pump_instant(&mut self, t: Time, inboxes: &mut [Mailbox<HopMsg>]) {
-        // 1. Cross-shard messages due by now, in total (at, edge, dir,
-        //    seq) order. Credits open transmit windows; arrivals queue on
-        //    their port and move downstream in step 4.
+        // 1. Cross-shard messages due by now (step 4 moves arrivals on).
+        if inboxes[self.idx].peek_at().is_some_and(|at| at <= t) {
+            self.drain_inbox(t, inboxes);
+        }
+        // 2. Host first: its submissions at instants <= t reach a device
+        //    (or hop serializer) whose clock has not passed t yet.
+        if self.host.next_time() == Some(t) || self.host.sanitizer().is_enabled() {
+            self.advance_host(t, inboxes);
+        }
+        // 3. Device events; responses route to the local host or back
+        //    into the chain toward their origin cube. Checked after the
+        //    host step, whose submissions can schedule device work at t.
+        if self.device.next_time() == Some(t) || self.device.sanitizer().is_enabled() {
+            self.outputs.clear();
+            self.device.advance_instant(t, &mut self.outputs);
+            for i in 0..self.outputs.len() {
+                let o = self.outputs[i];
+                self.route_device_output(&o, inboxes);
+            }
+        }
+        // 4. Hop progress: drain arrivals and restart serializers until a
+        //    full sweep makes no progress, so same-instant head-of-line
+        //    unblocking is observed deterministically in port order. Work
+        //    the sweep routes onward lands on other ports (or on this
+        //    sub-link), so visiting the active set taken when each port's
+        //    turn comes sees everything a full scan would. With no active
+        //    sub-link there is nothing to sweep, and `hop_next` is already
+        //    `None` (only a refresh clears a bit, and it then leaves no
+        //    start time behind).
+        if self.ports.iter().any(|p| p.active != 0) {
+            self.sweep_hops(t, inboxes);
+            self.refresh_hop_next();
+        }
+        // 5. Wake a stalled host if any fan-out window opened.
+        if self.host.any_node_stalled() {
+            for l in 0..self.links {
+                let mut free = self.device.free_slots(l);
+                for p in &self.ports {
+                    free = free.min(p.req_tx[l].link.ingress_free());
+                }
+                if free > 0 {
+                    self.host.notify_credit(l, free, t);
+                }
+            }
+        }
+        // 6. Metrics samples due by this instant.
+        if self
+            .sampler
+            .as_ref()
+            .is_some_and(|s| s.due_before(t).is_some())
+        {
+            self.sample_due(t, inboxes[self.idx].len());
+        }
+    }
+
+    /// Step 1 of [`pump_instant`](CubeShard::pump_instant): delivers the
+    /// inbox messages due by `t` in total `(at, edge, dir, seq)` order.
+    /// Credits open transmit windows; arrivals queue on their port.
+    #[inline(never)]
+    fn drain_inbox(&mut self, t: Time, inboxes: &mut [Mailbox<HopMsg>]) {
         while let Some((key, msg)) = inboxes[self.idx].pop_before(t) {
             let pi = self
                 .ports
@@ -661,29 +728,13 @@ impl<B: MemoryBackend> CubeShard<B> {
                 HopMsg::Credit { l } => self.ports[pi].req_tx[l].credits += 1,
             }
         }
-        // 2. Host first: its submissions at instants <= t reach a device
-        //    (or hop serializer) whose clock has not passed t yet.
-        if self.host.next_time() == Some(t) || self.host.sanitizer().is_enabled() {
-            self.advance_host(t, inboxes);
-        }
-        // 3. Device events; responses route to the local host or back
-        //    into the chain toward their origin cube. Checked after the
-        //    host step, whose submissions can schedule device work at t.
-        if self.device.next_time() == Some(t) || self.device.sanitizer().is_enabled() {
-            let mut outputs = std::mem::take(&mut self.outputs);
-            outputs.clear();
-            self.device.advance_instant(t, &mut outputs);
-            for o in &outputs {
-                self.route_device_output(o, inboxes);
-            }
-            self.outputs = outputs;
-        }
-        // 4. Hop progress: drain arrivals and restart serializers until a
-        //    full sweep makes no progress, so same-instant head-of-line
-        //    unblocking is observed deterministically in port order. Work
-        //    the sweep routes onward lands on other ports (or on this
-        //    sub-link), so visiting the active set taken when each port's
-        //    turn comes sees everything a full scan would.
+    }
+
+    /// Step 4 of [`pump_instant`](CubeShard::pump_instant): moves hop
+    /// arrivals downstream and restarts serializers until a full sweep
+    /// over the active sub-links makes no progress.
+    #[inline(never)]
+    fn sweep_hops(&mut self, t: Time, inboxes: &mut [Mailbox<HopMsg>]) {
         let mut progress = true;
         while progress {
             progress = false;
@@ -724,32 +775,24 @@ impl<B: MemoryBackend> CubeShard<B> {
                 }
             }
         }
-        self.refresh_hop_next();
-        // 5. Wake a stalled host if any fan-out window opened.
-        if self.host.any_node_stalled() {
-            for l in 0..self.links {
-                let mut free = self.device.free_slots(l);
-                for p in &self.ports {
-                    free = free.min(p.req_tx[l].link.ingress_free());
-                }
-                if free > 0 {
-                    self.host.notify_credit(l, free, t);
-                }
-            }
+    }
+
+    /// Records every metrics sample due by `t` from the shard's state as
+    /// it stands, each stamped with its due instant. Hop gauges ride the
+    /// same per-cube sampler as the host and device gauges; `in_flight`
+    /// is this shard's inbox depth.
+    #[inline(never)]
+    fn sample_due(&mut self, t: Time, in_flight: usize) {
+        let Some(mut smp) = self.sampler.take() else {
+            return;
+        };
+        while let Some(due) = smp.due_before(t) {
+            self.host.sample_metrics(due, &mut smp);
+            self.device.sample_metrics(due, &mut smp);
+            self.sample_hop_metrics(due, &mut smp, in_flight);
+            smp.advance();
         }
-        // 6. Metrics samples due by this instant. Hop gauges ride the
-        //    same per-cube sampler as the host and device gauges (the
-        //    single-cube pump never gets here, so a one-cube gauge
-        //    stream carries no hop or mailbox series).
-        if let Some(mut smp) = self.sampler.take() {
-            while let Some(due) = smp.due_before(t) {
-                self.host.sample_metrics(due, &mut smp);
-                self.device.sample_metrics(due, &mut smp);
-                self.sample_hop_metrics(due, &mut smp, inboxes[self.idx].len());
-                smp.advance();
-            }
-            self.sampler = Some(smp);
-        }
+        self.sampler = Some(smp);
     }
 
     /// Advances the host through instant `t`, transmitting through a
@@ -769,9 +812,13 @@ impl<B: MemoryBackend> CubeShard<B> {
     /// Records the chain-level gauges of this shard: per-edge hop-link
     /// occupancy (transmit backlog, arrival queue, remaining credit
     /// window) plus `in_flight`, the messages in flight toward this cube
-    /// (its inbox depth). Read-only over the port state, so an armed
-    /// sampler stays bit-inert.
+    /// (its inbox depth). A cube with no edges has no chain gauges, so a
+    /// one-cube stream carries no hop or mailbox series. Read-only over
+    /// the port state, so an armed sampler stays bit-inert.
     fn sample_hop_metrics(&self, due: Time, smp: &mut MetricsSampler, in_flight: usize) {
+        if self.ports.is_empty() {
+            return;
+        }
         for p in &self.ports {
             let mut tx = 0usize;
             let mut rx = 0usize;
@@ -795,12 +842,22 @@ impl<B: MemoryBackend> CubeShard<B> {
     /// paying another serialization per hop.
     fn route_device_output(&mut self, o: &DeviceOutput, inboxes: &mut [Mailbox<HopMsg>]) {
         let owner = origin_of(o.resp.id.value());
-        if owner == self.idx || owner >= self.topo.cubes() as usize || o.link >= self.links {
-            // Local traffic — and PIM returns, whose pseudo-link is out of
-            // range — deliver straight to the local host.
+        if owner == self.idx || owner >= self.topo.cubes() as usize {
             self.host.receive_response(o.resp, o.at);
-            return;
+        } else {
+            self.forward_response(owner, o, inboxes);
         }
+    }
+
+    /// Sends a device response for another cube's host into the hop
+    /// toward its `owner`.
+    #[inline(never)]
+    fn forward_response(
+        &mut self,
+        owner: usize,
+        o: &DeviceOutput,
+        inboxes: &mut [Mailbox<HopMsg>],
+    ) {
         let next = self.topo.next_shard(self.idx, owner);
         let pi = self.port_toward(next);
         // The device tracer's LinkEgress span ended at `o.at`; the hop
@@ -999,11 +1056,10 @@ fn wedge_dump<B: MemoryBackend>(
 
 /// A chained (or starred) multi-cube system: N sharded hosts, N cubes,
 /// pass-through links between adjacent cubes. With one cube this is the
-/// whole of a [`crate::System`]: host and device alternate instant by
-/// instant; with more, one pump visits the earliest instant any cube
-/// has work at and pumps each such cube in cube order, and hop links
-/// are delays on the messages pushed into the neighbours' inboxes (see
-/// the module docs).
+/// whole of a [`crate::System`]. One pump visits the earliest instant
+/// any cube has work at and pumps each such cube in cube order, and hop
+/// links are delays on the messages pushed into the neighbours' inboxes
+/// (see the module docs).
 ///
 /// ```
 /// use hmc_core::topology::{ChainSystem, Topology};
@@ -1031,8 +1087,8 @@ pub struct ChainSystem<B: MemoryBackend = HmcDevice> {
     thermal_spikes: Vec<(Time, f64, usize)>,
     policy: FailurePolicy,
     recoveries: Vec<RecoveryRecord>,
-    /// Deterministic per-shard step profiler (armed on demand; the
-    /// multi-cube pump feeds it after every instant).
+    /// Deterministic per-shard step profiler (armed on demand; the pump
+    /// feeds it after every instant).
     profiler: Option<EpochProfiler>,
 }
 
@@ -1309,10 +1365,10 @@ impl<B: MemoryBackend> ChainSystem<B> {
     }
 
     /// Arms the deterministic per-shard step profiler. Sim-time only:
-    /// after each instant the multi-cube pump records every shard's
-    /// event count, messages sent, and head-of-line parking over that
-    /// step, so profiles are reproducible and the armed profiler never
-    /// perturbs simulation state. A single-cube system records nothing.
+    /// after each instant the pump records every shard's event count,
+    /// messages sent, and head-of-line parking over that step, so
+    /// profiles are reproducible and the armed profiler never perturbs
+    /// simulation state.
     pub fn enable_epoch_profiler(&mut self) {
         let totals = self.shards.iter().map(CubeShard::profile_totals);
         self.profiler = Some(EpochProfiler::from_totals(totals.collect()));
@@ -1454,15 +1510,17 @@ impl<B: MemoryBackend> ChainSystem<B> {
     /// advances exactly to each spike, evaluates the failure policy
     /// against that cube's write history, and (on shutdown) executes the
     /// recovery cycle before continuing.
+    ///
+    /// Metrics samples never add an instant: each is recorded at the
+    /// first instant at or after its due time, and every step (to `end`
+    /// or to a spike) ends with one flush of the samples due by its
+    /// bound. A window of span `S` at period `P` thus records exactly
+    /// `S / P` points per series, the last stamped at the window end.
     pub fn step_until(&mut self, end: Time) {
         loop {
             let spike = self.thermal_spikes.first().copied().filter(|s| s.0 <= end);
             let to = spike.map_or(end, |s| s.0);
-            if self.shards.len() == 1 {
-                self.step_single_until(to);
-            } else {
-                self.step_instants_until(to);
-            }
+            self.step_instants_until(to);
             let Some((at, surface_c, cube)) = spike else {
                 return;
             };
@@ -1514,79 +1572,10 @@ impl<B: MemoryBackend> ChainSystem<B> {
         });
     }
 
-    /// The single-cube pump: at every instant with a host or device
-    /// event, host first, then device, stall credits and samples. It has
-    /// no ports or inbox, so it does none of that bookkeeping.
-    ///
-    /// Unlike [`CubeShard::next_time`], it never wakes for a metrics
-    /// sample alone: samples fall due at the next host or device
-    /// instant. The pinned one-cube gauge streams (the DDR and HBM
-    /// observed windows among them) depend on that, so this stays the
-    /// one-cube pump rather than the N = 1 case of the instant pump.
-    fn step_single_until(&mut self, end: Time) {
-        let ChainSystem {
-            topo,
-            shards,
-            inboxes,
-            now,
-            watchdog,
-            ..
-        } = self;
-        let sh = &mut shards[0];
-        loop {
-            let t = match (sh.host.next_time(), sh.device.next_time()) {
-                (Some(h), Some(d)) => h.min(d),
-                (Some(h), None) => h,
-                (None, Some(d)) => d,
-                (None, None) => break,
-            };
-            if t > end {
-                break;
-            }
-            // Host first: its submissions at instants <= t reach a device
-            // whose clock has not passed t yet. As in the instant pump, a
-            // component runs only at its own instants unless its armed
-            // sanitizer counts every call.
-            if sh.host.next_time() == Some(t) || sh.host.sanitizer().is_enabled() {
-                sh.advance_host(t, inboxes);
-            }
-            sh.outputs.clear();
-            if sh.device.next_time() == Some(t) || sh.device.sanitizer().is_enabled() {
-                sh.device.advance_instant(t, &mut sh.outputs);
-            }
-            for o in &sh.outputs {
-                sh.host.receive_response(o.resp, o.at);
-            }
-            if sh.host.any_node_stalled() {
-                for l in 0..sh.links {
-                    let free = sh.device.free_slots(l);
-                    if free > 0 {
-                        sh.host.notify_credit(l, free, t);
-                    }
-                }
-            }
-            if let Some(smp) = &mut sh.sampler {
-                while let Some(due) = smp.due_before(t) {
-                    sh.host.sample_metrics(due, smp);
-                    sh.device.sample_metrics(due, smp);
-                    smp.advance();
-                }
-            }
-            *now = t;
-            watchdog_check(watchdog, std::slice::from_mut(sh), inboxes, topo, t);
-        }
-        *now = (*now).max(end);
-        // A wedged system can drain both event queues while requests are
-        // still outstanding (e.g. a link that never grants credit): the
-        // loop above exits immediately, so the watchdog must also see the
-        // end-of-step instant.
-        watchdog_check(watchdog, shards, inboxes, topo, *now);
-    }
-
-    /// The multi-cube pump: at the earliest instant `t` any shard has
-    /// work, pump every shard with work at `t` in cube order; repeat
-    /// while `t <= end`. The watchdog and the step profiler see every
-    /// instant.
+    /// The instant pump: at the earliest instant `t` any shard has work,
+    /// pump every shard with work at `t` in cube order; repeat while
+    /// `t <= end`, then flush every shard's samples due by `end`. The
+    /// watchdog and the step profiler see every instant.
     fn step_instants_until(&mut self, end: Time) {
         let ChainSystem {
             topo,
@@ -1636,7 +1625,15 @@ impl<B: MemoryBackend> ChainSystem<B> {
             *now = (*now).max(t);
             watchdog_check(watchdog, shards, inboxes, topo, *now);
         }
+        // Nothing changes between the last instant and `end`, so the
+        // samples due by `end` read the state they are stamped with.
+        for (sh, inbox) in shards.iter_mut().zip(inboxes.iter()) {
+            sh.sample_due(end, inbox.len());
+        }
         *now = (*now).max(end);
+        // A wedged system can drain every queue while requests are still
+        // outstanding (e.g. a link that never grants credit): the loop
+        // above exits at once, so the watchdog must also see `end`.
         watchdog_check(watchdog, shards, inboxes, topo, *now);
     }
 
@@ -1649,21 +1646,13 @@ impl<B: MemoryBackend> ChainSystem<B> {
                 return true;
             }
             let spike = self.thermal_spikes.first().map(|&(t, _, _)| t);
-            let next = if self.shards.len() == 1 {
-                // The single-cube pump looks at the host and device only.
-                let sh = &self.shards[0];
-                [sh.host.next_time(), sh.device.next_time(), spike]
-                    .into_iter()
-                    .flatten()
-                    .min()
-            } else {
-                self.shards
-                    .iter()
-                    .zip(&self.inboxes)
-                    .filter_map(|(sh, inbox)| sh.next_time(inbox))
-                    .chain(spike)
-                    .min()
-            };
+            let next = self
+                .shards
+                .iter()
+                .zip(&self.inboxes)
+                .filter_map(|(sh, inbox)| sh.next_time(inbox))
+                .chain(spike)
+                .min();
             let Some(next) = next else {
                 return !self.is_busy();
             };

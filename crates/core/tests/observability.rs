@@ -16,10 +16,9 @@ use hmc_host::Workload;
 mod pin;
 
 /// Runs an 8-cube chain, sanitizer armed, optionally with every observer
-/// armed on top. Returns the simulation-results fingerprint (which must
-/// not see the observers) plus the full sanitizer JSON (reproducible at
-/// a *fixed* observer configuration; its check counters legitimately
-/// grow with the extra sampling instants an armed gauge sampler pumps).
+/// armed on top. Returns the simulation-results fingerprint plus the full
+/// sanitizer JSON, check counters included. Observers never add a pump
+/// instant, so neither may see them.
 fn octet_fingerprint(observed: bool) -> (String, String) {
     let mut b = SystemBuilder::new(SystemConfig::default())
         .sanitizer()
@@ -71,7 +70,9 @@ fn octet_fingerprint(observed: bool) -> (String, String) {
 #[test]
 fn armed_observability_is_bit_inert_on_the_parallel_chain() {
     // Tracer + per-cube samplers + step profiler must not move a single
-    // byte of the simulation's own results.
+    // byte of the simulation's own results, nor of the sanitizer's
+    // accounting: the pump never wakes for a sample alone, so the armed
+    // run pumps exactly the bare run's instants.
     let (bare, bare_json) = octet_fingerprint(false);
     assert!(bare.contains("clean=true"), "chain must sanitize clean");
     let (armed, armed_json) = octet_fingerprint(true);
@@ -81,18 +82,45 @@ fn armed_observability_is_bit_inert_on_the_parallel_chain() {
         (0x1e37_aa98_a1be_a802, 149),
         "results drifted: {bare}"
     );
-    // At a fixed observer configuration the sanitizer's own accounting
-    // (including check counters) is part of the deterministic surface.
+    // The sanitizer's own accounting (including check counters) is part
+    // of the deterministic surface.
     assert_eq!(
         pin::fingerprint(&bare_json),
         (0x825b_48cb_7d82_ef88, 239),
         "bare sanitizer JSON drifted: {bare_json}"
     );
-    assert_eq!(
-        pin::fingerprint(&armed_json),
-        (0xa3c7_740d_5b5d_3a73, 239),
-        "armed sanitizer JSON drifted: {armed_json}"
-    );
+    assert_eq!(armed_json, bare_json, "armed observers moved the sanitizer");
+}
+
+#[test]
+fn a_window_records_one_sample_per_period_ending_at_its_end() {
+    // Samples never wake the pump, yet a window of span S at period P
+    // records exactly S / P points per series, the last stamped at the
+    // window end: the step flushes the samples due by its bound.
+    let period = TimeDelta::from_us(1);
+    for (cubes, span_us) in [(1u8, 50u64), (4, 10)] {
+        let mut sys = SystemBuilder::new(SystemConfig::default())
+            .topology(Topology::chain(cubes))
+            .metrics(period)
+            .build_chain();
+        sys.apply_workload(&Workload::full_scale(
+            RequestKind::ReadOnly,
+            RequestSize::new(64).expect("size"),
+        ));
+        sys.start(Time::ZERO);
+        sys.run_for(TimeDelta::from_us(span_us));
+        let want: Vec<Time> = (1..=span_us)
+            .map(|k| Time::ZERO + TimeDelta::from_us(k))
+            .collect();
+        for s in 0..usize::from(cubes) {
+            let smp = sys.metrics(s).expect("metrics enabled");
+            assert!(!smp.series().is_empty(), "cube {s} sampled nothing");
+            for series in smp.series() {
+                let stamps: Vec<Time> = series.points().iter().map(|&(t, _)| t).collect();
+                assert_eq!(stamps, want, "{cubes} cubes: cube {s} {}", series.name());
+            }
+        }
+    }
 }
 
 /// Captures every deterministic observer artifact of one fully-observed
@@ -116,11 +144,13 @@ fn observer_artifacts() -> String {
 fn observer_artifacts_are_identical_serial_vs_parallel() {
     // The gauge stream and the trace export are derived from simulation
     // state only, so the pump must emit the very bytes every epoch-worker
-    // count once agreed on. The pin was re-recorded only to drop the
-    // epoch profile and its trace tracks from the artifacts; the gauge
-    // stream and the request trace events kept their bytes. No sanitizer
-    // is armed, so this run also covers the pump's skipping of idle host
-    // and device steps.
+    // count once agreed on. The pin was re-recorded to drop the epoch
+    // profile and its trace tracks from the artifacts, and again when
+    // the pump stopped waking for a sample alone: a gauge is now read
+    // after the first instant at or after its due time, so some gauge
+    // values moved while the series, their stamps and the request trace
+    // events kept their bytes. No sanitizer is armed, so this run also
+    // covers the pump's skipping of idle host and device steps.
     let artifacts = observer_artifacts();
     assert!(artifacts.contains("cube0.host.outstanding"));
     // Hop gauges are named by global edge index: cube 3's port in a
@@ -129,7 +159,7 @@ fn observer_artifacts_are_identical_serial_vs_parallel() {
     assert!(artifacts.contains("cube1.chain.mailbox"));
     assert_eq!(
         pin::fingerprint(&artifacts),
-        (0xbfe2_4fe5_b694_f08e, 475_444),
+        (0x455f_a14b_36c1_7663, 475_444),
         "observer artifacts drifted"
     );
 }

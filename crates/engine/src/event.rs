@@ -258,7 +258,9 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// The time of the earliest scheduled event, if any.
+    /// The time of the earliest scheduled event, if any. Inlined: pumps
+    /// ask every instant, and the answer is usually cached.
+    #[inline]
     pub fn peek_time(&self) -> Option<Time> {
         match self.cached_peek.get() {
             EMPTY => None,
@@ -275,6 +277,7 @@ impl<E> EventQueue<E> {
     /// staging buffer front if present, else the minimum over the first
     /// occupied wheel bucket and the overflow top (overflow may hold
     /// keys the window has since grown over, so both must be checked).
+    #[inline(never)]
     fn scan_min_time(&self) -> Option<Time> {
         if let Some(k) = self.now_buf.front() {
             return Some(k.at);

@@ -47,9 +47,11 @@ impl MetricsSampler {
     }
 
     /// The next instant a sample is due, if it is at or before `t`. The
-    /// driving loop calls this before processing events at `t`, records
-    /// every component's gauges at the returned instant, then calls
-    /// [`advance`](MetricsSampler::advance) — repeating until `None`.
+    /// driving loop never wakes for a sample alone: after processing the
+    /// events of instant `t` (and once more at each step's bound), it
+    /// records every component's gauges stamped with the returned
+    /// instant, then calls [`advance`](MetricsSampler::advance) —
+    /// repeating until `None`.
     pub fn due_before(&self, t: Time) -> Option<Time> {
         (self.next_due <= t).then_some(self.next_due)
     }

@@ -535,6 +535,7 @@ impl Host {
     }
 
     /// Earliest pending host event.
+    #[inline]
     pub fn next_time(&self) -> Option<Time> {
         self.events.peek_time()
     }

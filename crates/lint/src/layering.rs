@@ -8,7 +8,7 @@
 //! layer 1  engine                          (DES kernel)
 //! layer 2  backend                         (the MemoryBackend trait)
 //! layer 3  mem  host  thermal  power  ddr  (device models)
-//! layer 4  core  pim                       (assembled systems)
+//! layer 4  core                            (assembled systems)
 //! layer 5  bench                           (harnesses, CLI)
 //! ```
 //!
@@ -123,18 +123,11 @@ pub const LAYERS: &[LayerSpec] = &[
         ],
     },
     LayerSpec {
-        dir: "pim",
-        package: "hmc-pim",
-        ident: "hmc_pim",
-        layer: 4,
-        allowed: &["types", "engine", "mem", "thermal", "power"],
-    },
-    LayerSpec {
         dir: "bench",
         package: "hmc-bench",
         ident: "hmc_bench",
         layer: 5,
-        allowed: &["types", "engine", "core", "pim"],
+        allowed: &["types", "engine", "core"],
     },
     LayerSpec {
         dir: "lint",
@@ -268,10 +261,10 @@ mod tests {
 
     #[test]
     fn undeclared_downward_edge_is_rejected() {
-        // pim may not reach host even though host is a lower layer:
+        // bench may not reach host even though host is a lower layer:
         // the DAG is an explicit edge list, not a layer inequality.
         let src = "use hmc_host::Host;";
-        let found = check_source("pim", "crates/pim/src/unit.rs", &lex(src));
+        let found = check_source("bench", "crates/bench/src/lib.rs", &lex(src));
         assert_eq!(found.len(), 1);
         assert!(found[0].excerpt.contains("undeclared"));
     }

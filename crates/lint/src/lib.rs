@@ -69,9 +69,9 @@ pub use rules::{sanctioned_scheduler, AllowPolicy, RuleMeta, RuleScope, FLOAT_TI
 
 /// The crates whose `src/` trees get the full simulation rule set:
 /// every crate that feeds sim-time state, which since the thermal /
-/// power / PIM / DDR integrations means all nine model crates.
-pub const SIMULATION_CRATES: [&str; 9] = [
-    "types", "engine", "mem", "host", "core", "thermal", "power", "pim", "ddr",
+/// power / DDR integrations means all eight model crates.
+pub const SIMULATION_CRATES: [&str; 8] = [
+    "types", "engine", "mem", "host", "core", "thermal", "power", "ddr",
 ];
 
 /// Tool crates, self-linted with the reduced rule set (no `wall-clock`

@@ -393,7 +393,7 @@ mod tests {
                 "wall-clock",
                 "Instant::now()",
             ),
-            finding("crates/pim/src/unit.rs", 7, "layering", "upward import"),
+            finding("crates/mem/src/device.rs", 7, "layering", "upward import"),
         ];
         let doc = parse(&to_sarif(&fs)).expect("valid SARIF JSON");
         // Top-level schema shape.

@@ -130,9 +130,6 @@ enum DeviceEvent {
         link: usize,
         req: MemoryRequest,
     },
-    PimReturn {
-        pkt: OutPacket,
-    },
     Refresh {
         vault: u16,
     },
@@ -161,11 +158,6 @@ enum DeviceEvent {
         duration: TimeDelta,
     },
 }
-
-/// The pseudo-link id marking requests injected by logic-layer (PIM)
-/// compute units. Their responses return through [`DeviceOutput::link`]
-/// with this value instead of leaving over SerDes.
-pub const PIM_LINK: usize = usize::MAX;
 
 /// The modelled 3D-stacked memory cube.
 ///
@@ -239,7 +231,7 @@ impl HmcDevice {
             + n_links * (cfg.link_layer.ingress_queue_depth + cfg.link_layer.write_buffer_depth)
             + 64;
         // Queue-bound invariant: the capacity accounting above, plus one
-        // possible ResponseAtLink/PimReturn per bank and per reserved
+        // possible ResponseAtLink per bank and per reserved
         // vault slot, plus slack — exceeding this means an event leak.
         let event_bound = event_capacity
             + cfg.spec.total_banks() as usize
@@ -326,44 +318,8 @@ impl HmcDevice {
         Ok(())
     }
 
-    /// Submits a request from a logic-layer (PIM) compute unit: it enters
-    /// the target vault directly — no SerDes, no packetization, no
-    /// posted-write drain — paying only a short in-stack hop. The response
-    /// comes back through [`advance`](HmcDevice::advance) with
-    /// [`DeviceOutput::link`] set to [`PIM_LINK`].
-    ///
-    /// # Errors
-    ///
-    /// Hands the request back when the target vault's input FIFO has no
-    /// free slot (the PIM unit should retry after a completion).
-    pub fn pim_submit(&mut self, req: MemoryRequest, now: Time) -> Result<(), MemoryRequest> {
-        debug_assert!(now >= self.now, "submit in the past");
-        let loc = self.cfg.mapping.decode(req.addr, &self.cfg.spec);
-        let v = loc.vault.index() as usize;
-        if self.vault_reserved[v] >= self.cfg.vault.input_fifo_depth {
-            return Err(req);
-        }
-        self.vault_reserved[v] += 1;
-        self.arrival_link.insert(req.id.value(), PIM_LINK);
-        self.tracer.begin(req.trace_id(), now);
-        self.events.push(
-            now + self.cfg.xbar.local_hop,
-            DeviceEvent::VaultArrive {
-                vault: loc.vault.index(),
-                req,
-            },
-        );
-        Ok(())
-    }
-
-    /// Free input-FIFO slots of the vault that `addr` maps to — the
-    /// admission window a PIM unit sees.
-    pub fn pim_free_slots(&self, addr: hmc_types::Address) -> usize {
-        let loc = self.cfg.mapping.decode(addr, &self.cfg.spec);
-        self.cfg.vault.input_fifo_depth - self.vault_reserved[loc.vault.index() as usize]
-    }
-
     /// Earliest pending internal event, if any.
+    #[inline]
     pub fn next_time(&self) -> Option<Time> {
         self.events.peek_time()
     }
@@ -730,27 +686,6 @@ impl HmcDevice {
                     self.kick_egress(link, now);
                 }
             },
-            DeviceEvent::PimReturn { pkt } => {
-                self.tracer
-                    .finish(pkt.req.trace_id(), Stage::XbarResp.index(), now);
-                out.push(DeviceOutput {
-                    resp: MemoryResponse {
-                        id: pkt.req.id,
-                        port: pkt.req.port,
-                        tag: pkt.req.tag,
-                        op: pkt.req.op,
-                        size: pkt.req.size,
-                        cube: pkt.req.cube,
-                        addr: pkt.req.addr,
-                        issued_at: pkt.req.issued_at,
-                        completed_at: now,
-                        data_token: pkt.token,
-                        tenant: pkt.req.tenant,
-                    },
-                    link: PIM_LINK,
-                    at: now,
-                });
-            }
             DeviceEvent::WriteDrained { link, req } => {
                 self.tracer
                     .transition(req.trace_id(), Stage::WriteDrain.index(), now);
@@ -923,26 +858,14 @@ impl HmcDevice {
                 self.dropped_responses += 1;
                 continue;
             };
-            if link == PIM_LINK {
-                // Logic-layer consumers get their data after the in-stack
-                // hop, skipping the SerDes egress entirely.
-                self.events.push(
-                    op.response_at + self.cfg.xbar.local_hop,
-                    DeviceEvent::PimReturn {
-                        pkt: OutPacket { req: op.req, token },
-                    },
-                );
-            } else {
-                let delay =
-                    self.xbar.delay(link, self.vaults[v].id()) + self.cfg.xbar.egress_latency;
-                self.events.push(
-                    op.response_at + delay,
-                    DeviceEvent::ResponseAtLink {
-                        link,
-                        pkt: OutPacket { req: op.req, token },
-                    },
-                );
-            }
+            let delay = self.xbar.delay(link, self.vaults[v].id()) + self.cfg.xbar.egress_latency;
+            self.events.push(
+                op.response_at + delay,
+                DeviceEvent::ResponseAtLink {
+                    link,
+                    pkt: OutPacket { req: op.req, token },
+                },
+            );
         }
         self.started_ops = started;
         if freed > 0 {
@@ -1060,6 +983,7 @@ impl mem_backend::MemoryBackend for HmcDevice {
         HmcDevice::submit(self, link, req, now)
     }
 
+    #[inline]
     fn next_time(&self) -> Option<Time> {
         HmcDevice::next_time(self)
     }
@@ -1345,52 +1269,6 @@ mod tests {
         let spread = last.at.since(first.at).as_us_f64();
         // 299 accesses x 128 ns ≈ 38 us of serialization.
         assert!(spread > 30.0, "bank serialization spread {spread} us");
-    }
-
-    #[test]
-    fn pim_requests_bypass_links_and_return_fast() {
-        let mut cfg = MemConfig {
-            track_data: true,
-            ..MemConfig::default()
-        };
-        cfg.refresh.enabled = false;
-        let mut dev = HmcDevice::new(cfg);
-        // A PIM write then read at the same address.
-        dev.pim_submit(write_req(0, 0x200, 16, 0x77), Time::ZERO)
-            .unwrap();
-        let mut out = Vec::new();
-        dev.advance(Time::from_ps(1_000_000), &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].link, PIM_LINK);
-        let t1 = dev.now();
-        dev.pim_submit(read_req(1, 0x200, 16), t1).unwrap();
-        dev.advance(t1 + TimeDelta::from_us(1), &mut out);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[1].resp.data_token, 0x77);
-        // In-stack round trip is far below the external-link round trip:
-        // hop + DRAM + beat + hop, with no SerDes or packet processing.
-        let lat = out[1].at.since(t1).as_ns_f64();
-        assert!(lat < 100.0, "PIM read latency {lat} ns");
-        // No SerDes traffic was generated at all.
-        assert_eq!(dev.stats().link_bytes(), 0);
-    }
-
-    #[test]
-    fn pim_admission_window_tracks_vault_fifo() {
-        let mut cfg = MemConfig::default();
-        cfg.refresh.enabled = false;
-        let mut dev = HmcDevice::new(cfg);
-        let addr = Address::new(0);
-        let window = dev.pim_free_slots(addr);
-        assert_eq!(window, 16);
-        let mut accepted = 0;
-        for i in 0..64 {
-            if dev.pim_submit(read_req(i, 0, 128), Time::ZERO).is_ok() {
-                accepted += 1;
-            }
-        }
-        assert_eq!(accepted, 16, "admission bounded by the vault FIFO");
-        assert_eq!(dev.pim_free_slots(addr), 0);
     }
 
     #[test]

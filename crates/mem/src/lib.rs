@@ -58,6 +58,6 @@ pub mod xbar;
 pub use config::{
     DramTiming, LinkLayerConfig, MemConfig, PagePolicy, RefreshConfig, VaultConfig, XbarConfig,
 };
-pub use device::{DeviceOutput, DeviceStats, HmcDevice, PIM_LINK};
+pub use device::{DeviceOutput, DeviceStats, HmcDevice};
 pub use hbm::{HbmConfig, HbmDevice};
 pub use store::SparseStore;
