@@ -5,10 +5,13 @@
 //! Commands (each accepts `--threads N` to fan sweeps across OS threads
 //! and `--json PATH` to export its artifact as JSON):
 //!
-//! * `figure <id>...` — print paper tables/figures: `table1`, `table2`,
-//!   `table3`, `fig6`..`fig18`, `baseline`, `readratio`, `kernels`,
-//!   `mapping`, `faults`, `generations`, or `all`. `--breakdown` adds the
-//!   traced per-stage attribution to `fig14`.
+//! * `figure <id>...` — print paper tables/figures, each followed by its
+//!   paper-vs-measured verdict block: `table1`, `table2`, `table3`,
+//!   `fig6`..`fig18`, `baseline`, `readratio`, `kernels`, `mapping`,
+//!   `faults`, `generations`, or `all` (the table in
+//!   `hmc_bench::figures`). Exits 1 if any row is outside its band.
+//!   `--breakdown` adds the traced per-stage attribution to `fig14`.
+//!   `HMC_BENCH_FAST=1` selects the short windows tier-1 checks.
 //! * `sweep <trace|metrics|perf> [--backend <kind>]` — observability
 //!   captures: a traced full-scale window as Chrome trace-event JSON
 //!   (Perfetto-loadable), the same window's sampled gauge series, or
@@ -53,18 +56,11 @@
 //!     (simulated time per frame), `--span-us N` (total simulated time),
 //!     `--refresh-ms N` (live repaint pacing).
 //!
-//! Unknown commands or flags print the usage text and exit nonzero (the
-//! pre-subcommand flag aliases were removed after their deprecation
-//! period).
-//!
-//! (The `benches/` targets print the same tables plus paper-vs-measured
-//! verdicts; this binary is the quick interactive entry point.)
+//! Unknown commands, targets or flags print the usage text and exit 2.
 
-use hmc_bench::{bench_mc, sweep_mc};
-use hmc_core::experiments::{
-    bandwidth, baseline, chain, faults, generations, kernels, latency, mapping, openloop,
-    page_policy, read_ratio, thermal,
-};
+use hmc_bench::figures::{self, Target};
+use hmc_bench::{bench_mc, Windows};
+use hmc_core::experiments::{bandwidth, chain, faults, latency, openloop};
 use hmc_core::hmc_host::{OpenLoopConfig, ShedPolicy, Workload};
 use hmc_core::hmc_types::CubeInterleave;
 use hmc_core::measure::{run_backend_measurement, BackendMeasurement, MeasureConfig};
@@ -72,157 +68,9 @@ use hmc_core::mem_backend::BackendKind;
 use hmc_core::observe::run_window_observed;
 use hmc_core::topology::Topology;
 use hmc_core::{JsonReport, System, SystemBuilder, SystemConfig};
-use hmc_types::packet::{OpKind, TransactionSizes};
-use hmc_types::{HmcSpec, HmcVersion, RequestKind, RequestSize, Time, TimeDelta};
+use hmc_types::{RequestKind, RequestSize, Time, TimeDelta};
 use sim_engine::exec;
 use sim_engine::ArrivalKind;
-
-fn table1() {
-    for v in [HmcVersion::Gen1, HmcVersion::Gen2, HmcVersion::Hmc2] {
-        let s = HmcSpec::of(v);
-        println!(
-            "{}: {} quadrants, {} vaults, {} banks ({} MB each), {} layers",
-            s,
-            s.num_quadrants(),
-            s.num_vaults(),
-            s.total_banks(),
-            s.bank_bytes() >> 20,
-            s.dram_layers(),
-        );
-    }
-}
-
-fn table2() {
-    println!("size  rd-req  rd-resp  wr-req  wr-resp (flits)");
-    for size in RequestSize::ALL {
-        let rd = TransactionSizes::of(OpKind::Read, size);
-        let wr = TransactionSizes::of(OpKind::Write, size);
-        println!(
-            "{:>5}  {:>6}  {:>7}  {:>6}  {:>7}",
-            size.to_string(),
-            rd.request_flits().count(),
-            rd.response_flits().count(),
-            wr.request_flits().count(),
-            wr.response_flits().count(),
-        );
-    }
-}
-
-/// Output options shared by every target.
-#[derive(Debug, Clone, Copy, Default)]
-struct Opts {
-    /// Print the traced per-stage attribution alongside `fig14`.
-    breakdown: bool,
-}
-
-fn run(target: &str, cfg: &SystemConfig, opts: Opts) {
-    let mc = bench_mc();
-    match target {
-        "table1" => table1(),
-        "table2" => table2(),
-        "table3" => println!("{}", thermal::table3()),
-        "fig6" => println!("{}", bandwidth::figure6_table(&bandwidth::figure6(cfg, &mc))),
-        "fig7" => println!("{}", bandwidth::figure7_table(&bandwidth::figure7(cfg, &mc))),
-        "fig8" => println!("{}", bandwidth::figure8_table(&bandwidth::figure8(cfg, &mc))),
-        "fig9" | "fig10" => {
-            for kind in RequestKind::ALL {
-                let outcomes = thermal::figure9_10(cfg, kind, &mc);
-                if target == "fig9" {
-                    println!("{}", thermal::figure9_table(kind, &outcomes));
-                } else {
-                    println!("{}", thermal::figure10_table(kind, &outcomes));
-                }
-            }
-        }
-        "fig11" | "fig12" => {
-            let mut all = Vec::new();
-            for kind in RequestKind::ALL {
-                all.extend(thermal::figure9_10(cfg, kind, &mc));
-            }
-            if target == "fig11" {
-                println!("{}", thermal::figure11_table(&thermal::figure11(&all)));
-            } else {
-                for line in thermal::figure12(&all, &[50.0, 55.0, 60.0]) {
-                    println!(
-                        "{} hold {:.0} C: {:?}",
-                        line.kind,
-                        line.target_c,
-                        line.points
-                            .iter()
-                            .map(|(b, w)| format!("{b:.1}GB/s->{w:.2}W"))
-                            .collect::<Vec<_>>()
-                    );
-                }
-            }
-        }
-        "fig13" => println!(
-            "{}",
-            page_policy::figure13_table(&page_policy::figure13(cfg, &mc))
-        ),
-        "fig14" => {
-            println!(
-                "{}",
-                latency::figure14_table(&latency::figure14(cfg, RequestSize::MAX))
-            );
-            if opts.breakdown {
-                let obs = latency::figure14_breakdown(cfg, RequestSize::MAX);
-                println!(
-                    "{}",
-                    latency::figure14_breakdown_table(&obs, RequestSize::MAX)
-                );
-            }
-        }
-        "fig15" => {
-            let pts = latency::figure15(cfg);
-            for bytes in latency::FIG15_SIZES {
-                let size = RequestSize::new(bytes).expect("valid");
-                println!("{}", latency::figure15_table(size, &pts));
-            }
-        }
-        "fig16" => println!("{}", latency::figure16_table(&latency::figure16(cfg, &mc))),
-        "fig17" => println!(
-            "{}",
-            latency::curves_table("Figure 17", &latency::figure17(cfg, &sweep_mc()))
-        ),
-        "fig18" => {
-            let sizes = [RequestSize::new(32).expect("valid"), RequestSize::MAX];
-            println!(
-                "{}",
-                latency::curves_table("Figure 18", &latency::figure18(cfg, &sizes, &sweep_mc()))
-            );
-        }
-        "baseline" => {
-            let rows: Vec<_> = [16u64, 64, 128]
-                .into_iter()
-                .map(|b| baseline::compare(cfg, RequestSize::new(b).expect("valid"), &mc))
-                .collect();
-            println!("{}", baseline::baseline_table(&rows));
-        }
-        "readratio" => {
-            let pts = read_ratio::read_ratio_sweep(cfg, RequestSize::MAX, 10, &mc);
-            println!("{}", read_ratio::read_ratio_table(&pts));
-        }
-        "kernels" => {
-            println!("{}", kernels::kernels_table(&kernels::run_kernels(cfg, &mc)));
-        }
-        "mapping" => {
-            println!("{}", mapping::mapping_table(&mapping::mapping_ablation(cfg, &mc)));
-        }
-        "faults" => {
-            let pts = faults::ber_sweep(cfg, &faults::BER_AXIS, &mc);
-            println!("{}", faults::faults_table(&pts));
-        }
-        "generations" => {
-            println!(
-                "{}",
-                generations::generations_table(&generations::generation_sweep(&mc))
-            );
-        }
-        other => eprintln!(
-            "unknown target '{other}' (try: table1..3, fig6..fig18, baseline, readratio, kernels, mapping, all)"
-        ),
-    }
-}
 
 /// Measures the chain pump's throughput at one cube count: a saturated
 /// full-scale read run over `span`, returning `(events, wall_sec)`. With
@@ -828,54 +676,45 @@ fn take_common(args: &[String]) -> (Vec<String>, Option<String>) {
     (rest, json)
 }
 
-const ALL_TARGETS: [&str; 22] = [
-    "table1",
-    "table2",
-    "table3",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "baseline",
-    "readratio",
-    "kernels",
-    "mapping",
-    "faults",
-    "generations",
-];
-
 fn cmd_figure(cfg: &SystemConfig, args: &[String]) {
     let (rest, _json) = take_common(args);
-    let mut opts = Opts::default();
-    let mut targets: Vec<String> = Vec::new();
+    let mut breakdown = false;
+    let mut targets: Vec<&Target> = Vec::new();
     for arg in &rest {
         match arg.as_str() {
-            "--breakdown" => opts.breakdown = true,
+            "--breakdown" => breakdown = true,
+            "all" => targets.extend(&figures::TARGETS),
             flag if flag.starts_with("--") => usage(),
-            t => targets.push(t.to_string()),
+            name => targets.push(figures::target(name).unwrap_or_else(|| {
+                eprintln!("unknown target '{name}'");
+                usage()
+            })),
         }
     }
     if targets.is_empty() {
         usage();
     }
-    for arg in &targets {
-        if arg == "all" {
-            for t in ALL_TARGETS {
-                println!("\n########## {t} ##########");
-                run(t, cfg, opts);
-            }
-        } else {
-            run(arg, cfg, opts);
+    let windows = Windows::from_env();
+    let mut failed = 0;
+    for t in &targets {
+        if targets.len() > 1 {
+            println!("\n########## {} ##########", t.name);
         }
+        let report = (t.run)(cfg, &windows);
+        print!("{}", report.text);
+        if breakdown && t.name == "fig14" {
+            let obs = latency::figure14_breakdown(cfg, RequestSize::MAX);
+            println!(
+                "{}",
+                latency::figure14_breakdown_table(&obs, RequestSize::MAX)
+            );
+        }
+        print!("{}", report.verdicts(t.name));
+        failed += report.failures().count();
+    }
+    if failed > 0 {
+        eprintln!("{failed} paper row(s) outside their bands");
+        std::process::exit(1);
     }
 }
 

@@ -1,51 +1,75 @@
-//! Shared infrastructure for the benchmark harness: the paper's reference
-//! numbers and the paper-vs-measured comparison printer.
+//! The paper-reproduction harness: the paper's reference numbers, the
+//! paper-check table every `repro figure` target runs from, and the
+//! measurement windows its callers pass.
 //!
-//! Every `benches/` target regenerates one table or figure of the paper
-//! and prints (a) the reproduced rows/series and (b) a paper-vs-measured
-//! summary of the headline quantities. `cargo bench --workspace` therefore
-//! emits the full reproduction record (tee it into `bench_output.txt`).
+//! `repro figure <target>|all` prints each target's table(s) followed by
+//! its paper-vs-measured verdict block and exits 1 if any row is outside
+//! its band; the tier-1 test `tests/paper.rs` runs every target at
+//! [`Windows::FAST`]. The `benches/` targets measure the simulator
+//! itself, not the paper.
 
 use hmc_core::measure::MeasureConfig;
 use hmc_types::TimeDelta;
 
 pub mod dashboard;
+pub mod figures;
 pub mod paper;
 
-/// The measurement window benches use. Set `HMC_BENCH_FAST=1` to shrink it
-/// (useful in CI) at some cost in measurement noise.
-pub fn bench_mc() -> MeasureConfig {
-    // The fast-mode switch scales the measurement window only; every
-    // simulated statistic within a window stays bit-identical.
-    // hmc-lint: allow(env-read)
-    if std::env::var_os("HMC_BENCH_FAST").is_some() {
-        MeasureConfig {
-            warmup: TimeDelta::from_us(30),
-            window: TimeDelta::from_us(150),
-        }
-    } else {
-        MeasureConfig {
+/// The measurement windows a paper target runs at: one for
+/// single-point experiments and a shorter one for the many-point
+/// sweeps (Figures 17/18 and the bank-queue ablation).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Windows {
+    /// Warm-up and window of every single-point measurement.
+    pub point: MeasureConfig,
+    /// Warm-up and window of every point of a many-point sweep.
+    pub sweep: MeasureConfig,
+}
+
+impl Windows {
+    /// The default windows: the published record in EXPERIMENTS.md.
+    pub const FULL: Windows = Windows {
+        point: MeasureConfig {
             warmup: TimeDelta::from_us(100),
             window: TimeDelta::from_us(600),
+        },
+        sweep: MeasureConfig {
+            warmup: TimeDelta::from_us(50),
+            window: TimeDelta::from_us(250),
+        },
+    };
+
+    /// The short windows: what tier-1 checks, and what `HMC_BENCH_FAST`
+    /// selects. Every simulated statistic within a window is the same at
+    /// either length; only the averaging span shrinks.
+    pub const FAST: Windows = Windows {
+        point: MeasureConfig {
+            warmup: TimeDelta::from_us(30),
+            window: TimeDelta::from_us(150),
+        },
+        sweep: MeasureConfig {
+            warmup: TimeDelta::from_us(25),
+            window: TimeDelta::from_us(100),
+        },
+    };
+
+    /// [`Windows::FAST`] when `HMC_BENCH_FAST` is set (useful in CI),
+    /// [`Windows::FULL`] otherwise.
+    pub fn from_env() -> Windows {
+        // The fast-mode switch scales the measurement window only.
+        // hmc-lint: allow(env-read)
+        if std::env::var_os("HMC_BENCH_FAST").is_some() {
+            Windows::FAST
+        } else {
+            Windows::FULL
         }
     }
 }
 
-/// A faster window for the many-point sweeps (Figures 17/18).
-pub fn sweep_mc() -> MeasureConfig {
-    // Same fast-mode switch as `bench_mc`: window length, not results.
-    // hmc-lint: allow(env-read)
-    if std::env::var_os("HMC_BENCH_FAST").is_some() {
-        MeasureConfig {
-            warmup: TimeDelta::from_us(25),
-            window: TimeDelta::from_us(100),
-        }
-    } else {
-        MeasureConfig {
-            warmup: TimeDelta::from_us(50),
-            window: TimeDelta::from_us(250),
-        }
-    }
+/// The single-point window of [`Windows::from_env`], which the
+/// non-figure `repro` commands run at.
+pub fn bench_mc() -> MeasureConfig {
+    Windows::from_env().point
 }
 
 /// One paper-vs-measured comparison row.
@@ -80,20 +104,6 @@ impl Comparison {
     }
 }
 
-/// Prints a comparison block with a PASS/DIVERGES marker per row.
-pub fn print_comparisons(title: &str, rows: &[Comparison]) {
-    println!("\n=== paper vs measured: {title} ===");
-    for r in rows {
-        println!(
-            "  [{}] {:<46} paper: {:<28} measured: {}",
-            if r.ok { "ok" } else { "!!" },
-            r.what,
-            r.paper,
-            r.measured
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,10 +119,10 @@ mod tests {
 
     #[test]
     fn windows_are_positive() {
-        let mc = bench_mc();
-        assert!(mc.window.as_ps() > 0);
-        let s = sweep_mc();
-        assert!(s.window.as_ps() > 0);
-        assert!(s.window <= mc.window);
+        for w in [Windows::FULL, Windows::FAST, Windows::from_env()] {
+            assert!(w.sweep.window.as_ps() > 0);
+            assert!(w.sweep.window <= w.point.window);
+        }
+        assert!(Windows::FAST.point.window < Windows::FULL.point.window);
     }
 }
