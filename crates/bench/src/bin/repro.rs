@@ -2,8 +2,9 @@
 //!
 //! Usage: `cargo run --release -p hmc-bench --bin repro -- <command> ...`
 //!
-//! Commands (each accepts `--threads N` to fan sweeps across OS threads
-//! and `--json PATH` to export its artifact as JSON):
+//! Commands (each accepts `--threads N` to fan sweeps across OS threads,
+//! and each but `figure` accepts `--json PATH` to export its artifact as
+//! JSON):
 //!
 //! * `figure <id>...` — print paper tables/figures, each followed by its
 //!   paper-vs-measured verdict block: `table1`, `table2`, `table3`,
@@ -11,7 +12,8 @@
 //!   `faults`, `generations`, or `all` (the table in
 //!   `hmc_bench::figures`). Exits 1 if any row is outside its band.
 //!   `--breakdown` adds the traced per-stage attribution to `fig14`.
-//!   `HMC_BENCH_FAST=1` selects the short windows tier-1 checks.
+//!   `HMC_BENCH_FAST=1` selects the short windows tier-1 checks. It
+//!   writes no artifact: `--json` is refused with exit code 2.
 //! * `sweep <trace|metrics|perf> [--backend <kind>]` — observability
 //!   captures: a traced full-scale window as Chrome trace-event JSON
 //!   (Perfetto-loadable), the same window's sampled gauge series, or
@@ -58,7 +60,7 @@
 //!
 //! Unknown commands, targets or flags print the usage text and exit 2.
 
-use hmc_bench::figures::{self, Target};
+use hmc_bench::figures::{self, Session, Target};
 use hmc_bench::{bench_mc, Windows};
 use hmc_core::experiments::{bandwidth, chain, faults, latency, openloop};
 use hmc_core::hmc_host::{OpenLoopConfig, ShedPolicy, Workload};
@@ -640,6 +642,7 @@ fn usage() -> ! {
         "usage: repro <command> [--threads N] [--json PATH]\n\
          commands:\n\
          \x20 figure <table1|table2|table3|fig6..fig18|baseline|readratio|kernels|mapping|faults|generations|all>... [--breakdown]\n\
+         \x20        (prints tables and verdicts only; rejects --json)\n\
          \x20 sweep <trace|metrics|perf> [--backend hmc|hmc-gen3|ddr3-1600|hbm]\n\
          \x20 compare [--quick]\n\
          \x20 sanitize\n\
@@ -677,7 +680,11 @@ fn take_common(args: &[String]) -> (Vec<String>, Option<String>) {
 }
 
 fn cmd_figure(cfg: &SystemConfig, args: &[String]) {
-    let (rest, _json) = take_common(args);
+    let (rest, json) = take_common(args);
+    if json.is_some() {
+        eprintln!("repro figure writes no JSON artifact; --json is not accepted");
+        std::process::exit(2);
+    }
     let mut breakdown = false;
     let mut targets: Vec<&Target> = Vec::new();
     for arg in &rest {
@@ -694,13 +701,13 @@ fn cmd_figure(cfg: &SystemConfig, args: &[String]) {
     if targets.is_empty() {
         usage();
     }
-    let windows = Windows::from_env();
+    let session = Session::new(cfg, Windows::from_env());
     let mut failed = 0;
     for t in &targets {
         if targets.len() > 1 {
             println!("\n########## {} ##########", t.name);
         }
-        let report = (t.run)(cfg, &windows);
+        let report = (t.run)(&session);
         print!("{}", report.text);
         if breakdown && t.name == "fig14" {
             let obs = latency::figure14_breakdown(cfg, RequestSize::MAX);

@@ -11,6 +11,7 @@
 //! so a change that moves (or closes) a residual has to edit its band in
 //! plain sight.
 
+use std::cell::OnceCell;
 use std::fmt::{Display, Write as _};
 
 use hmc_core::experiments::{
@@ -78,13 +79,46 @@ impl Report {
 pub struct Target {
     /// The name `repro figure` accepts.
     pub name: &'static str,
-    /// Runs the target's experiments at the given windows.
-    pub run: fn(&SystemConfig, &Windows) -> Report,
+    /// Runs the target's experiments with the session's configuration
+    /// and windows.
+    pub run: fn(&Session) -> Report,
 }
 
 impl Target {
-    const fn new(name: &'static str, run: fn(&SystemConfig, &Windows) -> Report) -> Self {
+    const fn new(name: &'static str, run: fn(&Session) -> Report) -> Self {
         Target { name, run }
+    }
+}
+
+/// The configuration and windows that any number of targets run with,
+/// plus the experiment runs more than one target reads, each made on
+/// first use: Figures 9–12 share one thermal sweep (every pattern ×
+/// cooling configuration for each request kind), so running `fig9`–`fig12`
+/// through one session runs it once.
+#[derive(Debug)]
+pub struct Session<'a> {
+    cfg: &'a SystemConfig,
+    windows: Windows,
+    thermal: OnceCell<Vec<thermal::ThermalOutcome>>,
+}
+
+impl<'a> Session<'a> {
+    /// A session running targets with `cfg` at `windows`.
+    pub fn new(cfg: &'a SystemConfig, windows: Windows) -> Self {
+        Session {
+            cfg,
+            windows,
+            thermal: OnceCell::new(),
+        }
+    }
+
+    fn thermal(&self) -> &[thermal::ThermalOutcome] {
+        self.thermal.get_or_init(|| {
+            RequestKind::ALL
+                .into_iter()
+                .flat_map(|kind| thermal::figure9_10(self.cfg, kind, &self.windows.point))
+                .collect()
+        })
     }
 }
 
@@ -133,7 +167,7 @@ fn pinned(
     Comparison::range(what, paper, measured, unit, centre - d, centre + d)
 }
 
-fn table1(_: &SystemConfig, _: &Windows) -> Report {
+fn table1(_: &Session) -> Report {
     let mut t = Table::new(
         "Table I: properties of HMC versions",
         &["property", "HMC 1.0", "HMC 1.1", "HMC 2.0"],
@@ -187,7 +221,7 @@ fn table1(_: &SystemConfig, _: &Windows) -> Report {
     r
 }
 
-fn table2(_: &SystemConfig, _: &Windows) -> Report {
+fn table2(_: &Session) -> Report {
     let mut t = Table::new(
         "Table II: request/response sizes in flits",
         &["size", "rd req", "rd resp", "wr req", "wr resp"],
@@ -226,13 +260,14 @@ fn table2(_: &SystemConfig, _: &Windows) -> Report {
     r
 }
 
-fn table3(_: &SystemConfig, _: &Windows) -> Report {
+fn table3(_: &Session) -> Report {
     let mut r = Report::default();
     r.show(thermal::table3());
     r
 }
 
-fn fig6(cfg: &SystemConfig, w: &Windows) -> Report {
+fn fig6(session: &Session) -> Report {
+    let (cfg, w) = (session.cfg, &session.windows);
     let points = bandwidth::figure6(cfg, &w.point);
     let bw = |label: &str| {
         points
@@ -279,8 +314,9 @@ fn fig6(cfg: &SystemConfig, w: &Windows) -> Report {
     r
 }
 
-fn fig7(cfg: &SystemConfig, w: &Windows) -> Report {
+fn fig7(session: &Session) -> Report {
     use AccessPattern::{Banks, Vaults};
+    let (cfg, w) = (session.cfg, &session.windows);
     let points = bandwidth::figure7(cfg, &w.point);
     let bw = |pattern: AccessPattern, kind: RequestKind| {
         points
@@ -368,7 +404,8 @@ fn fig7(cfg: &SystemConfig, w: &Windows) -> Report {
     r
 }
 
-fn fig8(cfg: &SystemConfig, w: &Windows) -> Report {
+fn fig8(session: &Session) -> Report {
+    let (cfg, w) = (session.cfg, &session.windows);
     let points = bandwidth::figure8(cfg, &w.point);
     let at = |pattern: AccessPattern, bytes: u64| {
         points
@@ -414,17 +451,8 @@ fn fig8(cfg: &SystemConfig, w: &Windows) -> Report {
     r
 }
 
-/// Figures 9–12 share one thermal run: every pattern × cooling
-/// configuration for each request kind.
-fn thermal_outcomes(cfg: &SystemConfig, w: &Windows) -> Vec<thermal::ThermalOutcome> {
-    RequestKind::ALL
-        .into_iter()
-        .flat_map(|kind| thermal::figure9_10(cfg, kind, &w.point))
-        .collect()
-}
-
-fn fig9(cfg: &SystemConfig, w: &Windows) -> Report {
-    let all = thermal_outcomes(cfg, w);
+fn fig9(session: &Session) -> Report {
+    let all = session.thermal();
     let failures = |reads: bool| {
         all.iter()
             .filter(|o| (o.kind == RequestKind::ReadOnly) == reads && o.failure.is_some())
@@ -437,7 +465,7 @@ fn fig9(cfg: &SystemConfig, w: &Windows) -> Report {
         .fold(f64::MIN, f64::max);
     let mut r = Report::default();
     for kind in RequestKind::ALL {
-        r.show(thermal::figure9_table(kind, &all));
+        r.show(thermal::figure9_table(kind, all));
     }
     r.rows = vec![
         Comparison::range(
@@ -470,17 +498,17 @@ fn fig9(cfg: &SystemConfig, w: &Windows) -> Report {
     r
 }
 
-fn fig10(cfg: &SystemConfig, w: &Windows) -> Report {
-    let all = thermal_outcomes(cfg, w);
+fn fig10(session: &Session) -> Report {
+    let all = session.thermal();
     let mut r = Report::default();
     for kind in RequestKind::ALL {
-        r.show(thermal::figure10_table(kind, &all));
+        r.show(thermal::figure10_table(kind, all));
     }
     r
 }
 
-fn fig11(cfg: &SystemConfig, w: &Windows) -> Report {
-    let f11 = thermal::figure11(&thermal_outcomes(cfg, w));
+fn fig11(session: &Session) -> Report {
+    let f11 = thermal::figure11(session.thermal());
     let fit = |fits: &[(RequestKind, LinearFit)], kind| {
         fits.iter().find(|(k, _)| *k == kind).map(|(_, f)| *f)
     };
@@ -522,11 +550,11 @@ fn fig11(cfg: &SystemConfig, w: &Windows) -> Report {
     r
 }
 
-fn fig12(cfg: &SystemConfig, w: &Windows) -> Report {
-    let all = thermal_outcomes(cfg, w);
+fn fig12(session: &Session) -> Report {
+    let all = session.thermal();
     let mut r = Report::default();
     r.show("## Figure 12: cooling power to hold a surface temperature");
-    let lines = thermal::figure12(&all, &[50.0, 55.0, 60.0]);
+    let lines = thermal::figure12(all, &[50.0, 55.0, 60.0]);
     for line in &lines {
         let first = line.points.first().map_or(0.0, |p| p.1);
         let last = line.points.last().map_or(0.0, |p| p.1);
@@ -559,7 +587,8 @@ fn fig12(cfg: &SystemConfig, w: &Windows) -> Report {
     r
 }
 
-fn fig13(cfg: &SystemConfig, w: &Windows) -> Report {
+fn fig13(session: &Session) -> Report {
+    let (cfg, w) = (session.cfg, &session.windows);
     let points = page_policy::figure13(cfg, &w.point);
     let bw = |pattern: AccessPattern, mode: Addressing, bytes: u64| {
         points
@@ -625,7 +654,8 @@ fn fig13(cfg: &SystemConfig, w: &Windows) -> Report {
     r
 }
 
-fn fig14(cfg: &SystemConfig, _: &Windows) -> Report {
+fn fig14(session: &Session) -> Report {
+    let cfg = session.cfg;
     let d128 = latency::figure14(cfg, RequestSize::MAX);
     let d16 = latency::figure14(cfg, RequestSize::MIN);
     let mut r = Report::default();
@@ -682,7 +712,8 @@ fn fig14(cfg: &SystemConfig, _: &Windows) -> Report {
     r
 }
 
-fn fig15(cfg: &SystemConfig, _: &Windows) -> Report {
+fn fig15(session: &Session) -> Report {
+    let cfg = session.cfg;
     let points = latency::figure15(cfg);
     let point = |bytes: u64, n: usize| {
         points
@@ -717,8 +748,9 @@ fn fig15(cfg: &SystemConfig, _: &Windows) -> Report {
     r
 }
 
-fn fig16(cfg: &SystemConfig, w: &Windows) -> Report {
+fn fig16(session: &Session) -> Report {
     use AccessPattern::{Banks, Vaults};
+    let (cfg, w) = (session.cfg, &session.windows);
     let points = latency::figure16(cfg, &w.point);
     let lat = |pattern: AccessPattern, bytes: u64| {
         points
@@ -783,7 +815,8 @@ fn fig16(cfg: &SystemConfig, w: &Windows) -> Report {
     r
 }
 
-fn fig17(cfg: &SystemConfig, w: &Windows) -> Report {
+fn fig17(session: &Session) -> Report {
+    let (cfg, w) = (session.cfg, &session.windows);
     let curves = latency::figure17(cfg, &w.sweep);
     let outstanding = |pattern: AccessPattern| {
         curves
@@ -819,7 +852,8 @@ fn fig17(cfg: &SystemConfig, w: &Windows) -> Report {
     r
 }
 
-fn fig18(cfg: &SystemConfig, w: &Windows) -> Report {
+fn fig18(session: &Session) -> Report {
+    let (cfg, w) = (session.cfg, &session.windows);
     let sizes = [RequestSize::new(32).expect("valid"), RequestSize::MAX];
     let curves = latency::figure18(cfg, &sizes, &w.sweep);
     let sat = |pattern: AccessPattern| {
@@ -857,7 +891,8 @@ fn fig18(cfg: &SystemConfig, w: &Windows) -> Report {
 /// bank-queue depth (moves the Figure 17 knee), write-drain rate (moves
 /// the wo ceiling) and the packet-processing overhead (moves the read
 /// ceiling).
-fn baseline(cfg: &SystemConfig, w: &Windows) -> Report {
+fn baseline(session: &Session) -> Report {
+    let (cfg, w) = (session.cfg, &session.windows);
     let mc = &w.point;
     let rows: Vec<_> = [16u64, 64, 128]
         .into_iter()
@@ -983,7 +1018,8 @@ fn baseline(cfg: &SystemConfig, w: &Windows) -> Report {
 /// The related-work result the paper cites: HMCSim (Rosenfeld) and
 /// OpenHMC (Schmidt et al.) both found maximum link utilization at a read
 /// ratio between 53 % and 66 %.
-fn readratio(cfg: &SystemConfig, w: &Windows) -> Report {
+fn readratio(session: &Session) -> Report {
+    let (cfg, w) = (session.cfg, &session.windows);
     let points = read_ratio::read_ratio_sweep(cfg, RequestSize::MAX, 10, &w.point);
     let peak = read_ratio::optimal_ratio(&points).expect("sweep not empty");
     let pure_reads = points.last().expect("sweep not empty");
@@ -1019,8 +1055,9 @@ fn readratio(cfg: &SystemConfig, w: &Windows) -> Report {
     r
 }
 
-fn kernels(cfg: &SystemConfig, w: &Windows) -> Report {
+fn kernels(session: &Session) -> Report {
     use kernels::Kernel;
+    let (cfg, w) = (session.cfg, &session.windows);
     let results = kernels::run_kernels(cfg, &w.point);
     let get = |k: Kernel| results.iter().find(|r| r.kernel == k).expect("present");
     let mut r = Report::default();
@@ -1054,7 +1091,8 @@ fn kernels(cfg: &SystemConfig, w: &Windows) -> Report {
     r
 }
 
-fn mapping(cfg: &SystemConfig, w: &Windows) -> Report {
+fn mapping(session: &Session) -> Report {
+    let (cfg, w) = (session.cfg, &session.windows);
     let points = mapping::mapping_ablation(cfg, &w.point);
     let hot = |order: InterleaveOrder| {
         points
@@ -1086,7 +1124,8 @@ fn mapping(cfg: &SystemConfig, w: &Windows) -> Report {
     r
 }
 
-fn faults(cfg: &SystemConfig, w: &Windows) -> Report {
+fn faults(session: &Session) -> Report {
+    let (cfg, w) = (session.cfg, &session.windows);
     let points = faults::ber_sweep(cfg, &faults::BER_AXIS, &w.point);
     let mut r = Report::default();
     r.show(faults::faults_table(&points));
@@ -1111,7 +1150,8 @@ fn faults(cfg: &SystemConfig, w: &Windows) -> Report {
     r
 }
 
-fn generations(_: &SystemConfig, w: &Windows) -> Report {
+fn generations(session: &Session) -> Report {
+    let w = &session.windows;
     let gens = generations::generation_sweep(&w.point);
     let mut r = Report::default();
     r.show(generations::generations_table(&gens));

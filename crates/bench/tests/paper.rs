@@ -7,17 +7,18 @@
 //! residuals of EXPERIMENTS.md, so a model change that moves a residual
 //! fails here until its band is edited.
 
-use hmc_bench::figures::TARGETS;
+use hmc_bench::figures::{Session, TARGETS};
 use hmc_bench::Windows;
 use hmc_core::SystemConfig;
 
 #[test]
 fn every_paper_row_is_inside_its_band() {
     let cfg = SystemConfig::default();
+    let session = Session::new(&cfg, Windows::FAST);
     let mut rows = 0;
     let mut failures = Vec::new();
     for t in &TARGETS {
-        let report = (t.run)(&cfg, &Windows::FAST);
+        let report = (t.run)(&session);
         assert!(!report.text.is_empty(), "{} rendered nothing", t.name);
         rows += report.rows.len();
         failures.extend(report.failures().map(|r| {

@@ -42,10 +42,12 @@ impl<T> BoundedQueue<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be non-zero");
         BoundedQueue {
-            // Full pre-allocation: a bounded queue can never outgrow its
-            // capacity, so reserving it up front eliminates every
-            // warm-up reallocation.
-            items: VecDeque::with_capacity(capacity),
+            // Allocated on use: memory follows the occupancy the queue
+            // reaches, not its bound. A reservation of `capacity` slots
+            // would become resident over time even in a queue that never
+            // holds more than a few items, as the ring head walks through
+            // every slot; `try_push` enforces the bound either way.
+            items: VecDeque::new(),
             capacity,
             occupancy_integral: 0.0,
             last_change: Time::ZERO,
@@ -189,6 +191,37 @@ mod tests {
         assert_eq!(q.try_push('y', Time::ZERO), Err('y'));
         assert_eq!(q.total_rejected(), 1);
         assert_eq!(q.free(), 0);
+    }
+
+    #[test]
+    fn allocates_on_use_and_still_bounds() {
+        let mut lazy = BoundedQueue::new(120);
+        assert_eq!(
+            lazy.items.capacity(),
+            0,
+            "a fresh queue holds no allocation"
+        );
+        // The same queue with its bound reserved up front.
+        let mut eager = BoundedQueue::new(120);
+        eager.items.reserve_exact(120);
+        for q in [&mut lazy, &mut eager] {
+            for i in 0..122u32 {
+                let pushed = q.try_push(i, Time::from_ps(u64::from(i) * 10));
+                assert_eq!(pushed.is_err(), i >= 120, "push {i}");
+            }
+            assert!(q.is_full());
+            assert_eq!(q.pop(Time::from_ps(2_000)), Some(0));
+        }
+        // i + 1 items over [10·i, 10·i + 10) ps for i < 119, then 120 items
+        // from 1190 ps until the pop at 2000 ps.
+        let expected = (10.0 * (119.0 * 120.0 / 2.0) + 120.0 * 810.0) / 2_000.0;
+        for q in [&mut lazy, &mut eager] {
+            assert_eq!(q.total_pushed(), 120);
+            assert_eq!(q.total_rejected(), 2);
+            assert_eq!(q.peak(), 120);
+            let mean = q.mean_occupancy(Time::from_ps(2_000));
+            assert!((mean - expected).abs() < 1e-9, "mean was {mean}");
+        }
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub struct Histogram {
     min: Option<TimeDelta>,
     max: Option<TimeDelta>,
     /// Raw samples, capped at `RESERVOIR_CAP` by uniform decimation.
-    samples: Vec<u64>,
+    samples: Reservoir,
     /// Every `stride`-th sample is kept once the reservoir fills.
     stride: u64,
 }
@@ -94,7 +94,7 @@ impl Histogram {
             sum_sq_ps: 0.0,
             min: None,
             max: None,
-            samples: Vec::new(),
+            samples: Reservoir::Narrow(Vec::new()),
             stride: 1,
         }
     }
@@ -110,13 +110,7 @@ impl Histogram {
         if self.count.is_multiple_of(self.stride) {
             if self.samples.len() >= Self::RESERVOIR_CAP {
                 // Decimate: keep every other sample and double the stride.
-                let mut keep = Vec::with_capacity(Self::RESERVOIR_CAP / 2);
-                for (i, &s) in self.samples.iter().enumerate() {
-                    if i % 2 == 0 {
-                        keep.push(s);
-                    }
-                }
-                self.samples = keep;
+                self.samples.keep_even();
                 self.stride *= 2;
             }
             self.samples.push(ps);
@@ -174,12 +168,10 @@ impl Histogram {
         if self.samples.is_empty() {
             return None;
         }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
+        let idx = ((self.samples.len() - 1) as f64 * q).round() as usize;
         // The float picks an *index*; the sample itself is integer ps.
         // hmc-lint: allow(float-time)
-        Some(TimeDelta::from_ps(sorted[idx]))
+        Some(TimeDelta::from_ps(self.samples.sorted_at(idx)))
     }
 
     /// True while the reservoir still holds every recorded sample (no
@@ -206,9 +198,7 @@ impl Histogram {
         }
         let n = self.samples.len();
         let rank = (999 * n).div_ceil(1000) - 1;
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        Some(TimeDelta::from_ps(sorted[rank]))
+        Some(TimeDelta::from_ps(self.samples.sorted_at(rank)))
     }
 
     /// Sum of all samples.
@@ -230,15 +220,92 @@ impl Histogram {
             (Some(a), Some(b)) => Some(a.max(b)),
             (a, b) => a.or(b),
         };
-        self.samples.extend_from_slice(&other.samples);
+        self.samples.extend(&other.samples);
         if self.samples.len() > 2 * Self::RESERVOIR_CAP {
-            let mut keep = Vec::with_capacity(Self::RESERVOIR_CAP);
-            for (i, &s) in self.samples.iter().enumerate() {
-                if i % 2 == 0 {
-                    keep.push(s);
+            self.samples.keep_even();
+        }
+    }
+}
+
+/// A histogram's raw picosecond samples, 4 bytes each while every sample
+/// fits in a `u32` (under 2³² ps ≈ 4.29 ms). The first sample that does
+/// not widens the whole reservoir to `u64`, exactly; order and values are
+/// kept, so every quantile reads the same either way.
+#[derive(Debug, Clone)]
+enum Reservoir {
+    Narrow(Vec<u32>),
+    Wide(Vec<u64>),
+}
+
+impl Reservoir {
+    fn len(&self) -> usize {
+        match self {
+            Reservoir::Narrow(v) => v.len(),
+            Reservoir::Wide(v) => v.len(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn push(&mut self, ps: u64) {
+        match self {
+            Reservoir::Narrow(v) => match u32::try_from(ps) {
+                Ok(narrow) => v.push(narrow),
+                Err(_) => {
+                    self.widen();
+                    self.push(ps);
                 }
-            }
-            self.samples = keep;
+            },
+            Reservoir::Wide(v) => v.push(ps),
+        }
+    }
+
+    fn widen(&mut self) {
+        if let Reservoir::Narrow(v) = self {
+            *self = Reservoir::Wide(v.iter().map(|&s| u64::from(s)).collect());
+        }
+    }
+
+    /// Appends `other`'s samples, widening first if `other` is wide.
+    fn extend(&mut self, other: &Reservoir) {
+        if let Reservoir::Wide(_) = other {
+            self.widen();
+        }
+        match (self, other) {
+            (Reservoir::Narrow(a), Reservoir::Narrow(b)) => a.extend_from_slice(b),
+            (Reservoir::Wide(a), Reservoir::Narrow(b)) => a.extend(b.iter().map(|&s| u64::from(s))),
+            (Reservoir::Wide(a), Reservoir::Wide(b)) => a.extend_from_slice(b),
+            (Reservoir::Narrow(_), Reservoir::Wide(_)) => unreachable!("widened above"),
+        }
+    }
+
+    /// Keeps the samples at even positions, in place.
+    fn keep_even(&mut self) {
+        fn keep<T>(v: &mut Vec<T>) {
+            let mut i = 0;
+            v.retain(|_| {
+                i += 1;
+                i % 2 == 1
+            });
+        }
+        match self {
+            Reservoir::Narrow(v) => keep(v),
+            Reservoir::Wide(v) => keep(v),
+        }
+    }
+
+    /// The `idx`-th smallest sample.
+    fn sorted_at(&self, idx: usize) -> u64 {
+        fn nth<T: Copy + Ord + Into<u64>>(v: &[T], idx: usize) -> u64 {
+            let mut sorted = v.to_vec();
+            sorted.sort_unstable();
+            sorted[idx].into()
+        }
+        match self {
+            Reservoir::Narrow(v) => nth(v, idx),
+            Reservoir::Wide(v) => nth(v, idx),
         }
     }
 }
@@ -558,6 +625,159 @@ mod tests {
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.std_dev_ps(), 0.0);
         assert_eq!(format!("{h}"), "histogram(empty)");
+    }
+
+    /// The reservoir as a plain `Vec<u64>` under the same cap, decimation
+    /// and merge rules: the reference the narrow/wide reservoir must
+    /// match exactly.
+    #[derive(Default)]
+    struct Reference {
+        count: u64,
+        sum: u128,
+        samples: Vec<u64>,
+        stride: u64,
+    }
+
+    impl Reference {
+        fn new() -> Self {
+            Reference {
+                stride: 1,
+                ..Reference::default()
+            }
+        }
+
+        fn keep_even(&mut self) {
+            self.samples = self.samples.iter().step_by(2).copied().collect();
+        }
+
+        fn record(&mut self, ps: u64) {
+            self.count += 1;
+            self.sum += u128::from(ps);
+            if self.count.is_multiple_of(self.stride) {
+                if self.samples.len() >= Histogram::RESERVOIR_CAP {
+                    self.keep_even();
+                    self.stride *= 2;
+                }
+                self.samples.push(ps);
+            }
+        }
+
+        fn merge(&mut self, other: &Reference) {
+            self.count += other.count;
+            self.sum += other.sum;
+            self.samples.extend_from_slice(&other.samples);
+            if self.samples.len() > 2 * Histogram::RESERVOIR_CAP {
+                self.keep_even();
+            }
+        }
+
+        fn sorted(&self) -> Vec<u64> {
+            let mut v = self.samples.clone();
+            v.sort_unstable();
+            v
+        }
+
+        fn quantile(&self, q: f64) -> Option<TimeDelta> {
+            let v = self.sorted();
+            let idx = ((v.len().checked_sub(1)?) as f64 * q).round() as usize;
+            Some(TimeDelta::from_ps(v[idx]))
+        }
+
+        fn p999(&self) -> Option<TimeDelta> {
+            if self.stride != 1 {
+                return self.quantile(0.999);
+            }
+            let v = self.sorted();
+            let rank = (999 * v.len()).div_ceil(1000).checked_sub(1)?;
+            Some(TimeDelta::from_ps(v[rank]))
+        }
+    }
+
+    fn assert_matches(h: &Histogram, r: &Reference, what: &str) {
+        assert_eq!(h.count(), r.count, "{what}: count");
+        let mean = TimeDelta::from_ps((r.sum / u128::from(r.count.max(1))) as u64);
+        assert_eq!(h.mean(), mean, "{what}: mean");
+        assert_eq!(h.is_exact(), r.stride == 1, "{what}: is_exact");
+        assert_eq!(h.samples.len(), r.samples.len(), "{what}: reservoir length");
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(h.quantile(q), r.quantile(q), "{what}: quantile {q}");
+        }
+        assert_eq!(h.p999(), r.p999(), "{what}: p999");
+    }
+
+    /// `n` seeded samples under 1 µs, with one sample of 2³² ps + 5 (too
+    /// wide for `u32`) at index `wide_at`; it reaches the reservoir only if
+    /// `wide_at + 1` is a multiple of the stride then in force.
+    fn feed(seed: u64, n: usize, wide_at: Option<usize>) -> (Histogram, Reference) {
+        let mut rng = crate::rng::SplitMix64::new(seed);
+        let (mut h, mut r) = (Histogram::new(), Reference::new());
+        for i in 0..n {
+            let ps = if Some(i) == wide_at {
+                (1 << 32) + 5
+            } else {
+                rng.next_below(1_000_000)
+            };
+            h.record(TimeDelta::from_ps(ps));
+            r.record(ps);
+        }
+        (h, r)
+    }
+
+    fn is_wide(h: &Histogram) -> bool {
+        matches!(h.samples, Reservoir::Wide(_))
+    }
+
+    #[test]
+    fn narrow_reservoir_matches_u64_reference() {
+        // Past 65,536 samples the reservoir decimates twice.
+        let (h, r) = feed(1, 200_000, None);
+        assert!(!is_wide(&h));
+        assert_matches(&h, &r, "narrow, decimated");
+        // u32::MAX ps still fits.
+        let mut edge = Histogram::new();
+        edge.record(TimeDelta::from_ps(u64::from(u32::MAX)));
+        assert!(!is_wide(&edge));
+        assert_eq!(edge.p999(), Some(TimeDelta::from_ps(u64::from(u32::MAX))));
+    }
+
+    #[test]
+    fn wide_sample_after_decimation_widens_exactly() {
+        // Sample 150,004 (index 150,003) is a multiple of the stride (4)
+        // by then, so the wide sample lands in the reservoir as its maximum.
+        let (h, r) = feed(2, 200_000, Some(150_003));
+        assert!(!h.is_exact());
+        assert!(is_wide(&h));
+        assert_eq!(h.quantile(1.0), Some(TimeDelta::from_ps((1 << 32) + 5)));
+        assert_matches(&h, &r, "widened after decimation");
+        let (h, r) = feed(3, 1_000, Some(10));
+        assert!(h.is_exact() && is_wide(&h));
+        assert_matches(&h, &r, "widened while exact");
+    }
+
+    #[test]
+    fn merges_match_u64_reference_at_every_width() {
+        for (left_wide, right_wide) in [(false, false), (false, true), (true, false), (true, true)]
+        {
+            let what = format!("merge wide={left_wide}+{right_wide}");
+            let (mut h, mut r) = feed(4, 100_000, left_wide.then_some(80_001));
+            let (h2, r2) = feed(5, 70_000, right_wide.then_some(60_000));
+            h.merge(&h2);
+            r.merge(&r2);
+            assert_eq!(is_wide(&h), left_wide || right_wide, "{what}");
+            assert_matches(&h, &r, &what);
+            // A second merge passes 2 × 65,536 samples and decimates.
+            h.merge(&h2);
+            r.merge(&r2);
+            assert_matches(&h, &r, &format!("{what}, merged twice"));
+            // Recording after the merges decimates on the record path.
+            let mut rng = crate::rng::SplitMix64::new(6);
+            for _ in 0..5_000 {
+                let ps = rng.next_below(1_000_000);
+                h.record(TimeDelta::from_ps(ps));
+                r.record(ps);
+            }
+            assert_matches(&h, &r, &format!("{what}, then recorded"));
+        }
     }
 
     #[test]
