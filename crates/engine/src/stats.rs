@@ -110,7 +110,7 @@ impl Histogram {
         if self.count.is_multiple_of(self.stride) {
             if self.samples.len() >= Self::RESERVOIR_CAP {
                 // Decimate: keep every other sample and double the stride.
-                self.samples.keep_even();
+                self.samples.keep_every(2);
                 self.stride *= 2;
             }
             self.samples.push(ps);
@@ -206,8 +206,11 @@ impl Histogram {
         TimeDelta::from_ps(self.sum_ps.min(u64::MAX as u128) as u64)
     }
 
-    /// Merges another histogram's moments into this one (reservoirs are
-    /// concatenated then decimated lazily on the next record).
+    /// Merges another histogram into this one. The moments add exactly.
+    /// The reservoirs merge at the coarser of the two strides: the finer
+    /// side keeps only every ratio-th of its kept samples, so each side
+    /// is weighed by what it recorded. The merge is exact only if both
+    /// sides were.
     pub fn merge(&mut self, other: &Histogram) {
         self.count += other.count;
         self.sum_ps += other.sum_ps;
@@ -220,9 +223,15 @@ impl Histogram {
             (Some(a), Some(b)) => Some(a.max(b)),
             (a, b) => a.or(b),
         };
-        self.samples.extend(&other.samples);
+        let stride = self.stride.max(other.stride);
+        let ratio = |s: u64| usize::try_from(stride / s).expect("stride ratio fits usize");
+        self.samples.keep_every(ratio(self.stride));
+        self.samples
+            .extend_every(&other.samples, ratio(other.stride));
+        self.stride = stride;
         if self.samples.len() > 2 * Self::RESERVOIR_CAP {
-            self.samples.keep_even();
+            self.samples.keep_every(2);
+            self.stride *= 2;
         }
     }
 }
@@ -268,31 +277,37 @@ impl Reservoir {
         }
     }
 
-    /// Appends `other`'s samples, widening first if `other` is wide.
-    fn extend(&mut self, other: &Reservoir) {
+    /// Appends `other`'s samples at positions that are multiples of
+    /// `step`, widening first if `other` is wide.
+    fn extend_every(&mut self, other: &Reservoir, step: usize) {
         if let Reservoir::Wide(_) = other {
             self.widen();
         }
         match (self, other) {
-            (Reservoir::Narrow(a), Reservoir::Narrow(b)) => a.extend_from_slice(b),
-            (Reservoir::Wide(a), Reservoir::Narrow(b)) => a.extend(b.iter().map(|&s| u64::from(s))),
-            (Reservoir::Wide(a), Reservoir::Wide(b)) => a.extend_from_slice(b),
+            (Reservoir::Narrow(a), Reservoir::Narrow(b)) => a.extend(b.iter().step_by(step)),
+            (Reservoir::Wide(a), Reservoir::Narrow(b)) => {
+                a.extend(b.iter().step_by(step).map(|&s| u64::from(s)));
+            }
+            (Reservoir::Wide(a), Reservoir::Wide(b)) => a.extend(b.iter().step_by(step)),
             (Reservoir::Narrow(_), Reservoir::Wide(_)) => unreachable!("widened above"),
         }
     }
 
-    /// Keeps the samples at even positions, in place.
-    fn keep_even(&mut self) {
-        fn keep<T>(v: &mut Vec<T>) {
+    /// Keeps the samples at positions that are multiples of `step`, in
+    /// place.
+    fn keep_every(&mut self, step: usize) {
+        fn keep<T>(v: &mut Vec<T>, step: usize) {
             let mut i = 0;
             v.retain(|_| {
                 i += 1;
-                i % 2 == 1
+                (i - 1) % step == 0
             });
         }
-        match self {
-            Reservoir::Narrow(v) => keep(v),
-            Reservoir::Wide(v) => keep(v),
+        if step > 1 {
+            match self {
+                Reservoir::Narrow(v) => keep(v, step),
+                Reservoir::Wide(v) => keep(v, step),
+            }
         }
     }
 
@@ -646,8 +661,13 @@ mod tests {
             }
         }
 
-        fn keep_even(&mut self) {
-            self.samples = self.samples.iter().step_by(2).copied().collect();
+        fn keep_every(&mut self, step: u64) {
+            self.samples = self
+                .samples
+                .iter()
+                .step_by(step as usize)
+                .copied()
+                .collect();
         }
 
         fn record(&mut self, ps: u64) {
@@ -655,7 +675,7 @@ mod tests {
             self.sum += u128::from(ps);
             if self.count.is_multiple_of(self.stride) {
                 if self.samples.len() >= Histogram::RESERVOIR_CAP {
-                    self.keep_even();
+                    self.keep_every(2);
                     self.stride *= 2;
                 }
                 self.samples.push(ps);
@@ -665,9 +685,15 @@ mod tests {
         fn merge(&mut self, other: &Reference) {
             self.count += other.count;
             self.sum += other.sum;
-            self.samples.extend_from_slice(&other.samples);
+            let stride = self.stride.max(other.stride);
+            self.keep_every(stride / self.stride);
+            let step = (stride / other.stride) as usize;
+            self.samples
+                .extend(other.samples.iter().step_by(step).copied());
+            self.stride = stride;
             if self.samples.len() > 2 * Histogram::RESERVOIR_CAP {
-                self.keep_even();
+                self.keep_every(2);
+                self.stride *= 2;
             }
         }
 
@@ -777,6 +803,31 @@ mod tests {
                 r.record(ps);
             }
             assert_matches(&h, &r, &format!("{what}, then recorded"));
+        }
+    }
+
+    #[test]
+    fn merge_weighs_each_side_by_its_stride() {
+        // 200,000 samples of 0..200,000 ps decimate to stride 4; 1,000
+        // samples of 1 µs stay exact. Merged at stride 4, the 1 µs side
+        // keeps 250 of its samples and the p99 stays in the bulk.
+        let mut bulk = Histogram::new();
+        for ps in 0..200_000 {
+            bulk.record(TimeDelta::from_ps(ps));
+        }
+        let mut tail = Histogram::new();
+        for _ in 0..1_000 {
+            tail.record(TimeDelta::from_us(1));
+        }
+        for (first, second) in [(&bulk, &tail), (&tail, &bulk)] {
+            let mut merged = Histogram::new();
+            merged.merge(first);
+            merged.merge(second);
+            assert!(!merged.is_exact());
+            assert_eq!(merged.count(), 201_000);
+            assert_eq!(merged.samples.len(), bulk.samples.len() + 250);
+            let p99 = merged.quantile(0.99).unwrap().as_ps();
+            assert!((198_000..=200_000).contains(&p99), "p99 {p99} ps");
         }
     }
 
