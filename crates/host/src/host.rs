@@ -198,9 +198,8 @@ struct OpenLedger {
     completed: u64,
 }
 
-/// Runtime state of the open-loop multi-tenant frontend. Exists only
-/// when [`HostConfig::openloop`] is set; a `None` host allocates none of
-/// this and behaves bit-identically to earlier revisions.
+/// Runtime state of the open-loop multi-tenant frontend, the
+/// [`Source::Admission`] of a host whose [`HostConfig::openloop`] is set.
 #[derive(Debug)]
 struct OpenLoopState {
     cfg: OpenLoopConfig,
@@ -217,6 +216,8 @@ struct OpenLoopState {
     queue: VecDeque<Admitted>,
     /// Per-tenant window stats (cleared by [`Host::reset_stats`]).
     stats: Vec<TenantOpenStats>,
+    /// Per-tenant gauge names: offered, shed and completed.
+    series: Vec<[String; 3]>,
     /// Arrival instant per issued-but-uncompleted request id, for
     /// arrival-to-completion latency at delivery.
     issued: IdTable<(u16, Time)>,
@@ -280,6 +281,11 @@ impl OpenLoopState {
             buckets,
             queue: VecDeque::with_capacity(o.queue_capacity),
             stats: vec![TenantOpenStats::default(); n],
+            series: o
+                .tenants
+                .iter()
+                .map(|t| ["offered", "shed", "completed"].map(|g| format!("tenant.{}.{g}", t.name)))
+                .collect(),
             issued: IdTable::new(),
             ledger: OpenLedger::default(),
             arrivals_on: false,
@@ -303,6 +309,41 @@ impl OpenLoopState {
         }
     }
 
+    /// Issues the admission queue's head through `port`, after lazily
+    /// expiring overstays under [`ShedPolicy::DeadlineDrop`]. The entry
+    /// stays queued if the port has no tag for it.
+    ///
+    /// # Errors
+    ///
+    /// [`IssueBlock::Done`] when nothing is queued, and
+    /// [`IssueBlock::NoTags`] when a read finds the port's pool empty.
+    fn issue(
+        &mut self,
+        port: &mut GupsPort,
+        id: RequestId,
+        now: Time,
+    ) -> Result<MemoryRequest, IssueBlock> {
+        if self.cfg.policy == ShedPolicy::DeadlineDrop {
+            self.expire_overstays(now);
+            self.update_backpressure();
+        }
+        let entry = *self.queue.front().ok_or(IssueBlock::Done)?;
+        let t = entry.tenant as usize;
+        let prio = self.cfg.tenants[t].priority;
+        // Tenant 0 of the tag space is reserved for closed-loop traffic;
+        // open-loop tenants are offset by one.
+        let tag = TenantTag::new(TenantId::new(entry.tenant + 1), prio);
+        let req = port.try_issue_open(id, now, entry.op, entry.size, entry.global, tag)?;
+        self.queue.pop_front();
+        self.update_backpressure();
+        self.stats[t].issued += 1;
+        self.stats[t].queue_wait.record(now.since(entry.arrived));
+        self.ledger.issued += 1;
+        self.issued
+            .insert(req.id.value(), (entry.tenant, entry.arrived));
+        Ok(req)
+    }
+
     /// Drops queue entries that overstayed the queue deadline (the
     /// [`ShedPolicy::DeadlineDrop`] expiry scan), accounting each shed.
     fn expire_overstays(&mut self, now: Time) {
@@ -314,6 +355,33 @@ impl OpenLoopState {
             let e = self.queue.pop_front().expect("front checked above");
             self.stats[e.tenant as usize].shed_deadline += 1;
             self.ledger.shed += 1;
+        }
+    }
+}
+
+/// Where the ports' requests come from. Either way each request leaves
+/// through [`Host::port_issue`] and enters the TX pipeline through
+/// [`Host::inject`].
+#[derive(Debug)]
+enum Source {
+    /// Closed loop: each port's own GUPS generator draws its requests.
+    Gups,
+    /// Open loop: the ports drain the multi-tenant admission queue.
+    Admission(Box<OpenLoopState>),
+}
+
+impl Source {
+    fn open(&self) -> Option<&OpenLoopState> {
+        match self {
+            Source::Gups => None,
+            Source::Admission(open) => Some(open),
+        }
+    }
+
+    fn open_mut(&mut self) -> Option<&mut OpenLoopState> {
+        match self {
+            Source::Gups => None,
+            Source::Admission(open) => Some(open),
         }
     }
 }
@@ -356,8 +424,9 @@ pub struct Host {
     /// Sequence number of the live sweep; events carrying an older seq
     /// were superseded by an earlier re-arm and are dropped.
     sweep_seq: u64,
-    /// Open-loop frontend state; `None` (the default) allocates nothing.
-    open: Option<Box<OpenLoopState>>,
+    /// The ports' request source; closed-loop GUPS (the default)
+    /// allocates no open-loop state.
+    source: Source,
     robust_stats: RobustStats,
     tracer: Tracer,
     sanitizer: Sanitizer,
@@ -415,10 +484,10 @@ impl Host {
             cfg.openloop.is_some() || zipf.is_empty(),
             "tenant samplers need an open-loop frontend"
         );
-        let open = cfg
-            .openloop
-            .as_ref()
-            .map(|o| Box::new(OpenLoopState::new(o, &cfg, zipf)));
+        let source = match &cfg.openloop {
+            Some(o) => Source::Admission(Box::new(OpenLoopState::new(o, &cfg, zipf))),
+            None => Source::Gups,
+        };
         Host {
             ports,
             nodes,
@@ -441,7 +510,7 @@ impl Host {
             link_dead: vec![false; cfg.links.num_links() as usize],
             sweep_at: None,
             sweep_seq: 0,
-            open,
+            source,
             robust_stats: RobustStats::default(),
             tracer: Tracer::new(&Stage::NAMES),
             sanitizer: Sanitizer::new(),
@@ -506,20 +575,17 @@ impl Host {
     /// Turns the open-loop frontend on (if configured) and schedules each
     /// tenant's first arrival.
     fn start_arrivals(&mut self, now: Time) {
-        let firsts = match self.open.as_mut() {
-            Some(open) if !open.arrivals_on => {
-                open.arrivals_on = true;
-                let mut firsts = Vec::with_capacity(open.streams.len());
-                for (t, stream) in open.streams.iter_mut().enumerate() {
-                    let tid = u16::try_from(t).expect("tenant index fits in u16");
-                    firsts.push((stream.next_arrival(now), tid));
-                }
-                firsts
-            }
-            _ => return,
+        let Some(open) = self.source.open_mut() else {
+            return;
         };
-        for (at, tenant) in firsts {
-            self.events.push(at, HostEvent::Arrival { tenant });
+        if open.arrivals_on {
+            return;
+        }
+        open.arrivals_on = true;
+        for (t, stream) in open.streams.iter_mut().enumerate() {
+            let tenant = u16::try_from(t).expect("tenant index fits in u16");
+            self.events
+                .push(stream.next_arrival(now), HostEvent::Arrival { tenant });
         }
     }
 
@@ -529,7 +595,7 @@ impl Host {
         for p in &mut self.ports {
             p.set_idle();
         }
-        if let Some(open) = self.open.as_mut() {
+        if let Some(open) = self.source.open_mut() {
             open.arrivals_on = false;
         }
     }
@@ -626,8 +692,8 @@ impl Host {
         self.outstanding() > 0
             || self.ports.iter().any(|p| p.is_active())
             || self
-                .open
-                .as_ref()
+                .source
+                .open()
                 .is_some_and(|o| o.arrivals_on || !o.queue.is_empty())
     }
 
@@ -654,7 +720,7 @@ impl Host {
         for p in &mut self.ports {
             p.reset_monitor();
         }
-        if let Some(open) = self.open.as_deref_mut() {
+        if let Some(open) = self.source.open_mut() {
             for s in &mut open.stats {
                 *s = TenantOpenStats::default();
             }
@@ -663,29 +729,29 @@ impl Host {
 
     /// True when the open-loop multi-tenant frontend is configured.
     pub fn open_enabled(&self) -> bool {
-        self.open.is_some()
+        self.source.open().is_some()
     }
 
     /// Per-tenant open-loop window stats, index-aligned with
     /// [`OpenLoopConfig::tenants`] (empty without the frontend).
     pub fn open_stats(&self) -> &[TenantOpenStats] {
-        self.open.as_deref().map_or(&[], |o| &o.stats)
+        self.source.open().map_or(&[], |o| &o.stats)
     }
 
     /// Current admission-queue occupancy (0 without the frontend).
     pub fn admission_queue_len(&self) -> usize {
-        self.open.as_deref().map_or(0, |o| o.queue.len())
+        self.source.open().map_or(0, |o| o.queue.len())
     }
 
     /// True while the backpressure signal from host occupancy back to
     /// the arrival frontend is asserted.
     pub fn backpressure_asserted(&self) -> bool {
-        self.open.as_deref().is_some_and(|o| o.backpressured)
+        self.source.open().is_some_and(|o| o.backpressured)
     }
 
     /// Times the backpressure signal has asserted since construction.
     pub fn backpressure_assertions(&self) -> u64 {
-        self.open.as_deref().map_or(0, |o| o.bp_assertions)
+        self.source.open().map_or(0, |o| o.bp_assertions)
     }
 
     /// Asserts the open-loop conservation invariant on the cumulative
@@ -694,7 +760,7 @@ impl Host {
     /// recorded as a [`ViolationClass::Conservation`] violation. Call at
     /// drain points; no-op without the frontend.
     pub fn check_open_conservation(&mut self, now: Time) {
-        let Some(open) = self.open.as_deref() else {
+        let Some(open) = self.source.open() else {
             return;
         };
         let l = open.ledger;
@@ -755,36 +821,16 @@ impl Host {
             n.reset_transport();
         }
         self.stalled_nodes = 0;
-        for f in &mut self.parked_no_tags {
-            *f = false;
-        }
-        for f in &mut self.parked_node_full {
-            *f = false;
-        }
-        for f in &mut self.issue_pending {
-            *f = false;
-        }
-        for k in &mut self.node_kick_at {
-            *k = None;
-        }
-        for c in &mut self.consecutive_timeouts {
-            *c = 0;
-        }
+        self.parked_no_tags.fill(false);
+        self.parked_node_full.fill(false);
+        self.issue_pending.fill(false);
+        self.node_kick_at.fill(None);
+        self.consecutive_timeouts.fill(0);
         self.now = self.now.max(resume);
         self.sweep_at = None;
         let ids: Vec<u64> = self.in_flight.keys().copied().collect();
-        for (i, id) in ids.iter().enumerate() {
-            let entry = self.in_flight.get_mut(id).expect("key just listed");
-            entry.attempt = 1;
-            let home = self.cfg.node_of_port(entry.req.port.index() as usize);
-            let ready = resume + self.cfg.cycle() * i as u64;
-            let deadline = ready + self.cfg.robust.request_timeout;
-            let req = entry.req;
-            let node = self.live_node_for(home);
-            let entry = self.in_flight.get_mut(id).expect("key just listed");
-            entry.node = node;
-            entry.deadline = Some(deadline);
-            self.nodes[node].enqueue(ready, req);
+        for (i, &id) in ids.iter().enumerate() {
+            let (_, deadline) = self.resend(id, resume + self.cfg.cycle() * i as u64, 1);
             // The first replayed request carries the minimum deadline.
             self.arm_sweep(deadline);
         }
@@ -802,13 +848,13 @@ impl Host {
         // Pending open-loop arrival events were dropped with the cleared
         // queue; re-seed them (and restart the admission-queue drain) so
         // the frontend survives a recovery.
-        if let Some(open) = self.open.as_deref_mut() {
+        if let Some(open) = self.source.open_mut() {
             if open.arrivals_on {
                 open.arrivals_on = false;
                 self.start_arrivals(resume);
             }
         }
-        if self.open.as_deref().is_some_and(|o| !o.queue.is_empty()) {
+        if self.source.open().is_some_and(|o| !o.queue.is_empty()) {
             self.open_schedule_issue(resume);
         }
         ids.len()
@@ -894,7 +940,7 @@ impl Host {
             )
             .expect("writing to a String cannot fail");
         }
-        if let Some(open) = self.open.as_deref() {
+        if let Some(open) = self.source.open() {
             let l = open.ledger;
             writeln!(
                 s,
@@ -943,29 +989,17 @@ impl Host {
             s.record("host.poisoned", at, r.poisoned_responses as f64);
             s.record("host.links_dead", at, (r.links_degraded) as f64);
         }
-        if let Some(open) = self.open.as_deref() {
+        if let Some(open) = self.source.open() {
             s.record("host.admission_queue", at, open.queue.len() as f64);
             s.record(
                 "host.backpressure",
                 at,
                 if open.backpressured { 1.0 } else { 0.0 },
             );
-            for (spec, st) in open.cfg.tenants.iter().zip(&open.stats) {
-                s.record(
-                    &format!("tenant.{}.offered", spec.name),
-                    at,
-                    st.offered as f64,
-                );
-                s.record(
-                    &format!("tenant.{}.shed", spec.name),
-                    at,
-                    st.shed_total() as f64,
-                );
-                s.record(
-                    &format!("tenant.{}.completed", spec.name),
-                    at,
-                    st.completed as f64,
-                );
+            for ([offered, shed, completed], st) in open.series.iter().zip(&open.stats) {
+                s.record(offered, at, st.offered as f64);
+                s.record(shed, at, st.shed_total() as f64);
+                s.record(completed, at, st.completed as f64);
             }
         }
     }
@@ -1048,7 +1082,7 @@ impl Host {
         self.sanitizer.note_retire(resp.id.value(), now);
         let unblocked = self.ports[p].deliver(&resp);
         let mut open_more = false;
-        if let Some(open) = self.open.as_deref_mut() {
+        if let Some(open) = self.source.open_mut() {
             if let Some((tenant, arrived)) = open.issued.remove(resp.id.value()) {
                 let t = tenant as usize;
                 let latency = now.since(arrived);
@@ -1065,11 +1099,8 @@ impl Host {
             self.parked_no_tags[p] = false;
             self.schedule_issue(p, now);
         }
+        // The branch above already unparked a port whose tag came back.
         if open_more {
-            if unblocked {
-                // The freed read tag makes this port issueable again.
-                self.parked_no_tags[p] = false;
-            }
             self.open_schedule_issue(now);
         }
     }
@@ -1145,27 +1176,36 @@ impl Host {
     /// Backoff expired: retransmit `id` through a live node with a fresh
     /// deadline.
     fn retransmit(&mut self, id: u64, now: Time) {
-        let Some(entry) = self.in_flight.get(&id) else {
+        let Some(&entry) = self.in_flight.get(&id) else {
             return; // resolved while backing off
         };
-        let old_node = entry.node;
-        let home = self.cfg.node_of_port(entry.req.port.index() as usize);
-        let req = entry.req;
         // Recall the stale copy if it is still waiting in a queue (a dead
         // node's backlog, for instance) so only one copy is in a queue at
         // a time. Copies already past the wire are deduplicated by the
         // device and, failing that, by the poisoned-response check.
-        let _ = self.nodes[old_node].remove_by_id(id);
-        let node = self.live_node_for(home);
-        let deadline = now + self.cfg.robust.request_timeout;
-        let entry = self.in_flight.get_mut(&id).expect("checked above");
-        entry.node = node;
-        entry.attempt += 1;
-        entry.deadline = Some(deadline);
+        let _ = self.nodes[entry.node].remove_by_id(id);
         self.robust_stats.retries += 1;
-        self.nodes[node].enqueue(now, req);
+        let (node, deadline) = self.resend(id, now, entry.attempt + 1);
         self.kick_node(node, now);
         self.arm_sweep(deadline);
+    }
+
+    /// Queues tracked request `id` again, ready at `ready`, on its port's
+    /// live node as transmission `attempt` with a fresh deadline. Returns
+    /// the node and the deadline; the caller kicks and arms.
+    fn resend(&mut self, id: u64, ready: Time, attempt: u32) -> (usize, Time) {
+        let req = self.in_flight[&id].req;
+        let node = self.route_node(req.port.index() as usize);
+        let deadline = ready + self.cfg.robust.request_timeout;
+        let entry = InFlight {
+            req,
+            node,
+            attempt,
+            deadline: Some(deadline),
+        };
+        self.in_flight.insert(id, entry);
+        self.nodes[node].enqueue(ready, req);
+        (node, deadline)
     }
 
     /// Exhausted every retry: force-complete the request so its tag and
@@ -1232,52 +1272,68 @@ impl Host {
         self.live_node_for(self.cfg.node_of_port(port))
     }
 
+    /// One issue attempt on port `p`, whichever source feeds it. The
+    /// port parks on node flow control until
+    /// [`wake_node_ports`](Host::wake_node_ports) finds the node drained,
+    /// and on an empty tag pool until [`complete`](Host::complete) frees a
+    /// tag.
     fn port_issue(&mut self, p: usize, now: Time) {
         self.issue_pending[p] = false;
-        if self.open.is_some() {
-            // Open-loop mode: ports drain the admission queue instead of
-            // running their own generators.
-            self.open_port_issue(p, now);
-            return;
-        }
-        let node_idx = self.route_node(p);
-        if self.nodes[node_idx].stop_asserted() {
+        let node = self.route_node(p);
+        if self.nodes[node].stop_asserted() {
             self.parked_node_full[p] = true;
             return;
         }
-        match self.ports[p].try_issue(self.next_id, now) {
-            Ok(req) => {
-                self.next_id = self.next_id.next();
-                self.total_issued += 1;
-                self.sanitizer.note_inject(req.id.value(), now);
-                let ready = now + self.cfg.frequency.cycles(self.cfg.tx.flits_to_parallel);
-                self.tracer.begin(req.trace_id(), now);
-                self.tracer
-                    .transition(req.trace_id(), Stage::TxFlits.index(), ready);
-                if self.cfg.robust.enabled {
-                    let deadline = ready + self.cfg.robust.request_timeout;
-                    self.in_flight.insert(
-                        req.id.value(),
-                        InFlight {
-                            req,
-                            node: node_idx,
-                            attempt: 1,
-                            deadline: Some(deadline),
-                        },
-                    );
-                    self.arm_sweep(deadline);
-                }
-                self.nodes[node_idx].enqueue(ready, req);
-                self.kick_node(node_idx, ready);
-                if self.ports[p].is_active() {
-                    self.schedule_issue(p, now + self.cfg.cycle());
-                }
-            }
-            Err(IssueBlock::NoTags) => {
-                self.parked_no_tags[p] = true;
-            }
+        let drawn = match &mut self.source {
+            Source::Gups => self.ports[p].try_issue(self.next_id, now),
+            Source::Admission(open) => open.issue(&mut self.ports[p], self.next_id, now),
+        };
+        let issued = drawn.is_ok();
+        match drawn {
+            Ok(req) => self.inject(req, node, now),
+            Err(IssueBlock::NoTags) => self.parked_no_tags[p] = true,
             Err(IssueBlock::Done) => {}
         }
+        match &self.source {
+            // A GUPS port paces itself: its next attempt is one cycle on.
+            Source::Gups if issued && self.ports[p].is_active() => {
+                self.schedule_issue(p, now + self.cfg.cycle());
+            }
+            // Keep the round-robin drain chain alive while admitted work
+            // remains; a port out of tags hands it to the next port.
+            Source::Admission(open) if !open.queue.is_empty() => self.open_schedule_issue(now),
+            Source::Gups | Source::Admission(_) => {}
+        }
+    }
+
+    /// Sends a request a port just drew into transmit node `node`: the
+    /// one place a request enters the TX pipeline. It takes the next id,
+    /// opens the request's conservation entry and trace, arms its
+    /// deadline when the robustness layer is on, and queues it on the
+    /// node once its flits reach the parallel domain.
+    fn inject(&mut self, req: MemoryRequest, node: usize, now: Time) {
+        self.next_id = self.next_id.next();
+        self.total_issued += 1;
+        self.sanitizer.note_inject(req.id.value(), now);
+        let ready = now + self.cfg.frequency.cycles(self.cfg.tx.flits_to_parallel);
+        self.tracer.begin(req.trace_id(), now);
+        self.tracer
+            .transition(req.trace_id(), Stage::TxFlits.index(), ready);
+        if self.cfg.robust.enabled {
+            let deadline = ready + self.cfg.robust.request_timeout;
+            self.in_flight.insert(
+                req.id.value(),
+                InFlight {
+                    req,
+                    node,
+                    attempt: 1,
+                    deadline: Some(deadline),
+                },
+            );
+            self.arm_sweep(deadline);
+        }
+        self.nodes[node].enqueue(ready, req);
+        self.kick_node(node, ready);
     }
 
     /// One open-loop arrival for tenant `t`: schedule the successor,
@@ -1285,183 +1341,101 @@ impl Host {
     /// policy, backpressure bookkeeping).
     fn open_arrival(&mut self, t: usize, now: Time) {
         let tid = u16::try_from(t).expect("tenant index fits in u16");
-        let (qlen, bound, admitted) = {
-            let Some(open) = self.open.as_deref_mut() else {
-                return;
-            };
-            if !open.arrivals_on {
-                return; // stale event after stop_generation
-            }
-            // Open loop: the successor fires no matter how loaded the
-            // memory is — load never slows the source.
-            let next = open.streams[t].next_arrival(now);
-            self.events.push(next, HostEvent::Arrival { tenant: tid });
-            open.stats[t].offered += 1;
-            open.ledger.offered += 1;
-            if open.backpressured {
-                open.stats[t].arrived_backpressured += 1;
-            }
-            // Stage 1: per-tenant token-bucket rate limit.
-            let rate_ok = match open.buckets[t].as_mut() {
-                Some(bucket) => bucket.try_take(1, now),
-                None => true,
-            };
-            if !rate_ok {
-                open.stats[t].shed_rate += 1;
-                open.ledger.shed += 1;
-                return;
-            }
-            // Draw the operation — op coin first, then popularity rank,
-            // so the draw order is fixed regardless of outcomes.
-            let spec = &open.cfg.tenants[t];
-            let op = if open.rng[t].next_f64() < spec.read_fraction {
-                OpKind::Read
-            } else {
-                OpKind::Write
-            };
-            let rank = open.zipf[t].sample(&mut open.rng[t]);
-            // Scatter ranks across the global space so popularity skew
-            // does not collapse onto one vault; equal ranks still map to
-            // the same line (true hot items).
-            let size_b = spec.size.bytes();
-            let slots = (self.cfg.memory_capacity * u64::from(self.cfg.shard.cubes())) / size_b;
-            let global = rank.wrapping_mul(0x9E37_79B9_7F4A_7C15) % slots * size_b;
-            let entry = Admitted {
-                tenant: tid,
-                op,
-                size: spec.size,
-                global,
-                arrived: now,
-                expires: now + open.cfg.queue_deadline,
-            };
-            // Stage 2: the bounded queue with its shed policy.
-            let mut admitted = true;
-            if open.queue.len() >= open.cfg.queue_capacity {
-                match open.cfg.policy {
-                    ShedPolicy::RejectNewest => admitted = false,
-                    ShedPolicy::PriorityShed => {
-                        // Victim: the worst-priority entry (newest among
-                        // ties). Evicted only if the arrival outranks it.
-                        let (victim, _) = open
-                            .queue
-                            .iter()
-                            .enumerate()
-                            .max_by_key(|(i, e)| (open.cfg.tenants[e.tenant as usize].priority, *i))
-                            .expect("queue is full, hence non-empty");
-                        let victim_prio =
-                            open.cfg.tenants[open.queue[victim].tenant as usize].priority;
-                        if victim_prio > spec.priority {
-                            let evicted = open.queue.remove(victim).expect("index from enumerate");
-                            open.stats[evicted.tenant as usize].shed_queue += 1;
-                            open.ledger.shed += 1;
-                        } else {
-                            admitted = false;
-                        }
-                    }
-                    ShedPolicy::DeadlineDrop => {
-                        open.expire_overstays(now);
-                        if open.queue.len() >= open.cfg.queue_capacity {
-                            admitted = false;
-                        }
-                    }
-                }
-            }
-            if admitted {
-                open.queue.push_back(entry);
-                open.stats[t].admitted += 1;
-            } else {
-                open.stats[t].shed_queue += 1;
-                open.ledger.shed += 1;
-            }
-            open.update_backpressure();
-            (open.queue.len(), open.cfg.queue_capacity, admitted)
+        let Some(open) = self.source.open_mut() else {
+            return;
         };
-        self.sanitizer
-            .check_queue_bound("admission queue", qlen, bound, now);
-        if admitted {
-            self.open_schedule_issue(now);
+        if !open.arrivals_on {
+            return; // stale event after stop_generation
         }
-    }
-
-    /// One issue attempt in open-loop mode: pop the next admitted entry
-    /// (after lazily expiring overstays under [`ShedPolicy::DeadlineDrop`])
-    /// and issue it through port `p`.
-    fn open_port_issue(&mut self, p: usize, now: Time) {
-        let node_idx = self.route_node(p);
-        if self.nodes[node_idx].stop_asserted() {
-            self.parked_node_full[p] = true;
+        // Open loop: the successor fires no matter how loaded the
+        // memory is — load never slows the source.
+        let next = open.streams[t].next_arrival(now);
+        self.events.push(next, HostEvent::Arrival { tenant: tid });
+        open.stats[t].offered += 1;
+        open.ledger.offered += 1;
+        if open.backpressured {
+            open.stats[t].arrived_backpressured += 1;
+        }
+        // Stage 1: per-tenant token-bucket rate limit.
+        let rate_ok = match open.buckets[t].as_mut() {
+            Some(bucket) => bucket.try_take(1, now),
+            None => true,
+        };
+        if !rate_ok {
+            open.stats[t].shed_rate += 1;
+            open.ledger.shed += 1;
             return;
         }
-        let (entry, tag) = {
-            let Some(open) = self.open.as_deref_mut() else {
-                return;
-            };
-            if open.cfg.policy == ShedPolicy::DeadlineDrop {
-                open.expire_overstays(now);
-                open.update_backpressure();
-            }
-            let Some(entry) = open.queue.front().copied() else {
-                return;
-            };
-            let prio = open.cfg.tenants[entry.tenant as usize].priority;
-            // Tenant 0 of the tag space is reserved for closed-loop
-            // traffic; open-loop tenants are offset by one.
-            (entry, TenantTag::new(TenantId::new(entry.tenant + 1), prio))
+        // Draw the operation — op coin first, then popularity rank,
+        // so the draw order is fixed regardless of outcomes.
+        let spec = &open.cfg.tenants[t];
+        let op = if open.rng[t].next_f64() < spec.read_fraction {
+            OpKind::Read
+        } else {
+            OpKind::Write
         };
-        match self.ports[p].try_issue_open(
-            self.next_id,
+        let rank = open.zipf[t].sample(&mut open.rng[t]);
+        // Scatter ranks across the global space so popularity skew
+        // does not collapse onto one vault; equal ranks still map to
+        // the same line (true hot items).
+        let size_b = spec.size.bytes();
+        let slots = (self.cfg.memory_capacity * u64::from(self.cfg.shard.cubes())) / size_b;
+        let global = rank.wrapping_mul(0x9E37_79B9_7F4A_7C15) % slots * size_b;
+        let entry = Admitted {
+            tenant: tid,
+            op,
+            size: spec.size,
+            global,
+            arrived: now,
+            expires: now + open.cfg.queue_deadline,
+        };
+        // Stage 2: the bounded queue with its shed policy.
+        let mut admitted = true;
+        if open.queue.len() >= open.cfg.queue_capacity {
+            match open.cfg.policy {
+                ShedPolicy::RejectNewest => admitted = false,
+                ShedPolicy::PriorityShed => {
+                    // Victim: the worst-priority entry (newest among
+                    // ties). Evicted only if the arrival outranks it.
+                    let (victim, _) = open
+                        .queue
+                        .iter()
+                        .enumerate()
+                        .max_by_key(|(i, e)| (open.cfg.tenants[e.tenant as usize].priority, *i))
+                        .expect("queue is full, hence non-empty");
+                    let victim_prio = open.cfg.tenants[open.queue[victim].tenant as usize].priority;
+                    if victim_prio > spec.priority {
+                        let evicted = open.queue.remove(victim).expect("index from enumerate");
+                        open.stats[evicted.tenant as usize].shed_queue += 1;
+                        open.ledger.shed += 1;
+                    } else {
+                        admitted = false;
+                    }
+                }
+                ShedPolicy::DeadlineDrop => {
+                    open.expire_overstays(now);
+                    if open.queue.len() >= open.cfg.queue_capacity {
+                        admitted = false;
+                    }
+                }
+            }
+        }
+        if admitted {
+            open.queue.push_back(entry);
+            open.stats[t].admitted += 1;
+        } else {
+            open.stats[t].shed_queue += 1;
+            open.ledger.shed += 1;
+        }
+        open.update_backpressure();
+        self.sanitizer.check_queue_bound(
+            "admission queue",
+            open.queue.len(),
+            open.cfg.queue_capacity,
             now,
-            entry.op,
-            entry.size,
-            entry.global,
-            tag,
-        ) {
-            Ok(req) => {
-                {
-                    let open = self.open.as_deref_mut().expect("checked above");
-                    open.queue.pop_front();
-                    open.update_backpressure();
-                    let t = entry.tenant as usize;
-                    open.stats[t].issued += 1;
-                    open.stats[t].queue_wait.record(now.since(entry.arrived));
-                    open.ledger.issued += 1;
-                    open.issued
-                        .insert(req.id.value(), (entry.tenant, entry.arrived));
-                }
-                self.next_id = self.next_id.next();
-                self.total_issued += 1;
-                self.sanitizer.note_inject(req.id.value(), now);
-                let ready = now + self.cfg.frequency.cycles(self.cfg.tx.flits_to_parallel);
-                self.tracer.begin(req.trace_id(), now);
-                self.tracer
-                    .transition(req.trace_id(), Stage::TxFlits.index(), ready);
-                if self.cfg.robust.enabled {
-                    let deadline = ready + self.cfg.robust.request_timeout;
-                    self.in_flight.insert(
-                        req.id.value(),
-                        InFlight {
-                            req,
-                            node: node_idx,
-                            attempt: 1,
-                            deadline: Some(deadline),
-                        },
-                    );
-                    self.arm_sweep(deadline);
-                }
-                self.nodes[node_idx].enqueue(ready, req);
-                self.kick_node(node_idx, ready);
-                // Keep the drain chain alive while admitted work remains.
-                if self.open.as_deref().is_some_and(|o| !o.queue.is_empty()) {
-                    self.open_schedule_issue(now);
-                }
-            }
-            Err(IssueBlock::NoTags) => {
-                self.parked_no_tags[p] = true;
-                // Another port's tag pool may still have room.
-                self.open_schedule_issue(now);
-            }
-            // try_issue_open never reports generator exhaustion.
-            Err(IssueBlock::Done) => {}
+        );
+        if admitted {
+            self.open_schedule_issue(now);
         }
     }
 
@@ -1469,18 +1443,19 @@ impl Host {
     /// robin) to drain the admission queue. Ports parked on tags or node
     /// flow control are skipped — their unpark paths re-enter here.
     fn open_schedule_issue(&mut self, now: Time) {
-        let n = self.ports.len();
-        let start = self.open.as_deref().map_or(0, |o| o.next_port);
-        for k in 0..n {
-            let p = (start + k) % n;
-            if self.issue_pending[p] || self.parked_no_tags[p] || self.parked_node_full[p] {
-                continue;
-            }
-            if let Some(open) = self.open.as_deref_mut() {
-                open.next_port = (p + 1) % n;
-            }
-            self.schedule_issue(p, now);
+        let Some(open) = self.source.open_mut() else {
             return;
+        };
+        let n = self.ports.len();
+        let free = |p: &usize| {
+            !(self.issue_pending[*p] || self.parked_no_tags[*p] || self.parked_node_full[*p])
+        };
+        if let Some(p) = (open.next_port..open.next_port + n)
+            .map(|k| k % n)
+            .find(free)
+        {
+            open.next_port = (p + 1) % n;
+            self.schedule_issue(p, now);
         }
     }
 
@@ -2005,7 +1980,7 @@ mod tests {
             run_open(&mut host, 200_000, 200);
             assert_eq!(host.outstanding(), 0, "policy {policy}");
             assert_eq!(host.admission_queue_len(), 0, "policy {policy}");
-            let l = host.open.as_deref().expect("open loop configured").ledger;
+            let l = host.source.open().expect("open loop configured").ledger;
             assert!(l.offered > 1_000, "policy {policy}: offered {}", l.offered);
             assert_eq!(l.offered, l.shed + l.issued, "policy {policy}");
             assert_eq!(l.issued, l.completed, "policy {policy}");
@@ -2039,7 +2014,7 @@ mod tests {
             host.enable_sanitizer();
             host.start(Time::ZERO);
             run_open(&mut host, 20_000, 200);
-            let l = host.open.as_deref().expect("open loop configured").ledger;
+            let l = host.source.open().expect("open loop configured").ledger;
             assert!(l.shed > 0, "policy {policy}: overload must shed");
             assert!(
                 l.completed > 0,
@@ -2091,7 +2066,7 @@ mod tests {
             host.enable_sanitizer();
             host.start(Time::ZERO);
             run_open(&mut host, 20_000, 200);
-            let l = host.open.as_deref().unwrap().ledger;
+            let l = host.source.open().unwrap().ledger;
             let per_tenant: Vec<(u64, u64, u64)> = host
                 .open_stats()
                 .iter()

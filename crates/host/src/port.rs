@@ -205,23 +205,11 @@ impl GupsPort {
     /// Returns the blocking reason when nothing can be issued.
     pub fn try_issue(&mut self, id: RequestId, now: Time) -> Result<MemoryRequest, IssueBlock> {
         if let Some((cube, addr, size, token)) = self.pending_writes.pop_front() {
-            self.monitor.writes_issued += 1;
-            self.last_issue = Some(now);
-            return Ok(MemoryRequest {
-                id,
-                port: self.id,
-                tag: Tag::new(0),
-                op: OpKind::Write,
-                size,
-                cube,
-                addr,
-                issued_at: now,
-                data_token: token,
-                tenant: TenantTag::NONE,
-            });
+            let write = (OpKind::Write, size);
+            return self.emit(id, now, write, (cube, addr), token, TenantTag::NONE);
         }
-        match &mut self.generator {
-            Generator::Idle => Err(IssueBlock::Done),
+        let (op, size, global, data_token) = match &mut self.generator {
+            Generator::Idle => return Err(IssueBlock::Done),
             Generator::Chain {
                 addrs,
                 size,
@@ -235,60 +223,23 @@ impl GupsPort {
                     self.generator = Generator::Idle;
                     return Err(IssueBlock::Done);
                 };
-                let size = *size;
                 *waiting = true;
-                let tag = self.free_tags.pop().expect("chain uses one tag");
-                self.monitor.reads_issued += 1;
-                self.last_issue = Some(now);
-                let (cube, addr) = self.route(addr.as_u64());
-                Ok(MemoryRequest {
-                    id,
-                    port: self.id,
-                    tag,
-                    op: OpKind::Read,
-                    size,
-                    cube,
-                    addr,
-                    issued_at: now,
-                    data_token: 0,
-                    tenant: TenantTag::NONE,
-                })
+                (OpKind::Read, *size, addr.as_u64(), 0)
             }
             Generator::Stream(ops) => {
                 let Some(op) = ops.front().copied() else {
                     self.generator = Generator::Idle;
                     return Err(IssueBlock::Done);
                 };
-                let tag = if op.op == OpKind::Read {
-                    match self.free_tags.pop() {
-                        Some(t) => t,
-                        None => return Err(IssueBlock::NoTags),
-                    }
-                } else {
-                    Tag::new(0)
-                };
+                if op.op == OpKind::Read && self.free_tags.is_empty() {
+                    return Err(IssueBlock::NoTags);
+                }
                 ops.pop_front();
                 if op.op == OpKind::Read && op.token != 0 {
                     self.expected.insert(id.value(), op.token);
                 }
-                match op.op {
-                    OpKind::Read => self.monitor.reads_issued += 1,
-                    OpKind::Write => self.monitor.writes_issued += 1,
-                }
-                self.last_issue = Some(now);
-                let (cube, addr) = self.route(op.addr.as_u64());
-                Ok(MemoryRequest {
-                    id,
-                    port: self.id,
-                    tag,
-                    op: op.op,
-                    size: op.size,
-                    cube,
-                    addr,
-                    issued_at: now,
-                    data_token: if op.op == OpKind::Write { op.token } else { 0 },
-                    tenant: TenantTag::NONE,
-                })
+                let token = if op.op == OpKind::Write { op.token } else { 0 };
+                (op.op, op.size, op.addr.as_u64(), token)
             }
             Generator::Continuous(w) => {
                 let w = *w;
@@ -296,43 +247,28 @@ impl GupsPort {
                     Some(f) => self.rng.next_f64() < f,
                     None => w.kind.reads(),
                 };
-                let tag = if is_read {
-                    match self.free_tags.pop() {
-                        Some(t) => t,
-                        None => return Err(IssueBlock::NoTags),
-                    }
-                } else {
-                    Tag::new(0)
-                };
-                let global = self.next_address(&w);
-                let op = if is_read { OpKind::Read } else { OpKind::Write };
-                match op {
-                    OpKind::Read => self.monitor.reads_issued += 1,
-                    OpKind::Write => self.monitor.writes_issued += 1,
+                // A blocked read draws no address; the retry redraws its
+                // op coin only.
+                if is_read && self.free_tags.is_empty() {
+                    return Err(IssueBlock::NoTags);
                 }
-                self.last_issue = Some(now);
-                let (cube, addr) = self.route(global.as_u64());
-                Ok(MemoryRequest {
-                    id,
-                    port: self.id,
-                    tag,
-                    op,
-                    size: w.size,
-                    cube,
-                    addr,
-                    issued_at: now,
-                    data_token: if op == OpKind::Write { id.value() } else { 0 },
-                    tenant: TenantTag::NONE,
-                })
+                let global = self.next_address(&w).as_u64();
+                if is_read {
+                    (OpKind::Read, w.size, global, 0)
+                } else {
+                    (OpKind::Write, w.size, global, id.value())
+                }
             }
-        }
+        };
+        let place = self.route(global);
+        self.emit(id, now, (op, size), place, data_token, TenantTag::NONE)
     }
 
-    /// Issues one open-loop request through this port: reads take a tag
-    /// from the pool (writes are posted, tag 0), the global address is
-    /// split by the port's shard, and the monitor counts it like any
-    /// generated request. The admission layer owns pacing and generation;
-    /// the port only contributes its tag pool and routing.
+    /// Issues one open-loop request through this port: the global address
+    /// is split by the port's shard, and the request takes a tag and is
+    /// counted like any generated one. The admission layer owns pacing
+    /// and generation; the port only contributes its tag pool and
+    /// routing.
     ///
     /// # Errors
     ///
@@ -346,20 +282,32 @@ impl GupsPort {
         global: u64,
         tenant: TenantTag,
     ) -> Result<MemoryRequest, IssueBlock> {
-        let tag = if op == OpKind::Read {
-            match self.free_tags.pop() {
-                Some(t) => t,
-                None => return Err(IssueBlock::NoTags),
-            }
-        } else {
-            Tag::new(0)
+        let place = self.route(global);
+        self.emit(id, now, (op, size), place, 0, tenant)
+    }
+
+    /// Builds the request this port issues at `now` for an access of
+    /// `op` and `size` at `place`, whatever drew it: a read takes a tag
+    /// from the pool (a posted write uses tag 0), the monitor counts it,
+    /// and the instant paces the port's next issue.
+    fn emit(
+        &mut self,
+        id: RequestId,
+        now: Time,
+        (op, size): (OpKind, RequestSize),
+        (cube, addr): (CubeId, Address),
+        data_token: u64,
+        tenant: TenantTag,
+    ) -> Result<MemoryRequest, IssueBlock> {
+        let (tag, issued) = match op {
+            OpKind::Read => (
+                self.free_tags.pop().ok_or(IssueBlock::NoTags)?,
+                &mut self.monitor.reads_issued,
+            ),
+            OpKind::Write => (Tag::new(0), &mut self.monitor.writes_issued),
         };
-        match op {
-            OpKind::Read => self.monitor.reads_issued += 1,
-            OpKind::Write => self.monitor.writes_issued += 1,
-        }
+        *issued += 1;
         self.last_issue = Some(now);
-        let (cube, addr) = self.route(global);
         Ok(MemoryRequest {
             id,
             port: self.id,
@@ -369,7 +317,7 @@ impl GupsPort {
             cube,
             addr,
             issued_at: now,
-            data_token: 0,
+            data_token,
             tenant,
         })
     }
