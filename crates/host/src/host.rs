@@ -396,8 +396,11 @@ pub struct Host {
     /// Bit `n` is set while node `n` waits for device credit (mirrors
     /// [`TxNode::waiting_credit`]).
     stalled_nodes: u64,
+    /// Per port: parked on an empty tag pool until a response frees a tag.
     parked_no_tags: Vec<bool>,
+    /// Per port: parked on its node's stop signal until the node drains.
     parked_node_full: Vec<bool>,
+    /// Per port: a [`HostEvent::PortIssue`] is queued.
     issue_pending: Vec<bool>,
     /// Time of the single live kick per node (None = no live kick).
     node_kick_at: Vec<Option<Time>>,

@@ -273,7 +273,7 @@ impl GupsPort {
     /// # Errors
     ///
     /// Returns [`IssueBlock::NoTags`] when a read finds the pool empty.
-    pub fn try_issue_open(
+    pub(crate) fn try_issue_open(
         &mut self,
         id: RequestId,
         now: Time,
