@@ -1,9 +1,9 @@
 //! Backend-conformance suite: every [`BackendKind`] preset must honor
 //! the `MemoryBackend` contract — request conservation at drain,
-//! monotonic `next_time`, bit-identical double runs — and the HMC
-//! device behind the trait must stay byte-identical to the golden
-//! artifacts in `tests/golden/`: the observed-window trace and metrics,
-//! the two latency-attribution tables and the sanitizer report.
+//! monotonic `next_time`, bit-identical double runs — and the devices
+//! behind the trait must stay byte-identical to the golden artifacts in
+//! `tests/golden/`: the HMC, DDR3-1600 and HBM observed-window traces and
+//! metrics, the two latency-attribution tables and the sanitizer report.
 
 use hmc_core::backends;
 use hmc_core::experiments::latency::{figure14_breakdown, figure14_breakdown_table};
@@ -148,32 +148,50 @@ fn double_run_is_bit_identical_every_backend() {
     }
 }
 
-/// The HMC device behind the `MemoryBackend` trait produces the exact
-/// bytes of the pre-refactor `repro sweep trace/metrics --json`
-/// artifacts — the regression pinning the refactor to the seed.
+/// The HMC, DDR3-1600 and HBM devices behind the `MemoryBackend` trait
+/// produce the exact bytes of `repro sweep trace|metrics --backend
+/// <kind> --json`: the same observed window, recorded before the
+/// refactor each golden guards. CI pins the same bytes by SHA-256.
 #[test]
 fn hmc_behind_trait_matches_golden_artifacts() {
-    let obs = run_window_observed(
-        &SystemConfig::default(),
-        BackendKind::Hmc,
-        &Workload::full_scale(
-            RequestKind::ReadModifyWrite,
-            RequestSize::new(64).expect("valid"),
+    let goldens = [
+        (
+            BackendKind::Hmc,
+            include_str!("golden/trace.json"),
+            include_str!("golden/metrics.json"),
         ),
-        TimeDelta::from_us(50),
-        101,
-        TimeDelta::from_us(1),
-    );
-    assert_eq!(
-        obs.report.json(),
-        include_str!("golden/trace.json"),
-        "trace artifact diverged from the pre-refactor golden"
-    );
-    assert_eq!(
-        obs.metrics.json(),
-        include_str!("golden/metrics.json"),
-        "metrics artifact diverged from the pre-refactor golden"
-    );
+        (
+            BackendKind::Ddr3_1600,
+            include_str!("golden/ddr_trace.json"),
+            include_str!("golden/ddr_metrics.json"),
+        ),
+        (
+            BackendKind::Hbm,
+            include_str!("golden/hbm_trace.json"),
+            include_str!("golden/hbm_metrics.json"),
+        ),
+    ];
+    for (kind, trace, metrics) in goldens {
+        let obs = run_window_observed(
+            &SystemConfig::default(),
+            kind,
+            &Workload::full_scale(
+                RequestKind::ReadModifyWrite,
+                RequestSize::new(64).expect("valid"),
+            ),
+            TimeDelta::from_us(50),
+            101,
+            TimeDelta::from_us(1),
+        );
+        assert!(
+            obs.report.json() == trace,
+            "{kind}: trace artifact diverged from the recorded golden"
+        );
+        assert!(
+            obs.metrics.json() == metrics,
+            "{kind}: metrics artifact diverged from the recorded golden"
+        );
+    }
 }
 
 /// `repro figure fig14 --breakdown`'s attribution table, byte for byte:
