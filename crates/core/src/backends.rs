@@ -17,8 +17,7 @@
 //!
 //! [`SystemBuilder::backend`]: crate::builder::SystemBuilder::backend
 
-use ddr_baseline::{DdrDevice, DdrDeviceConfig};
-use hmc_mem::{HbmConfig, HbmDevice, HmcDevice};
+use hmc_mem::{DdrConfig, DdrDevice, HbmConfig, HbmDevice, HmcDevice};
 use hmc_types::{HmcSpec, HmcVersion, LinkConfig, MemoryRequest, Time};
 use mem_backend::{AddressLayout, BackendKind, BackendOutput, CoreStats, MemoryBackend};
 use sim_engine::{FaultKind, MetricsSampler, Sanitizer, Tracer};
@@ -190,17 +189,21 @@ pub fn apply_preset(kind: BackendKind, cfg: &mut SystemConfig) {
 pub fn instantiate(kind: BackendKind, cfg: &SystemConfig) -> AnyBackend {
     match kind {
         BackendKind::Hmc | BackendKind::HmcGen3 => AnyBackend::Hmc(HmcDevice::new(cfg.mem.clone())),
-        BackendKind::Ddr3_1600 => AnyBackend::Ddr(DdrDevice::new(DdrDeviceConfig {
-            num_ports: cfg.host.links.num_links() as usize,
-            ..DdrDeviceConfig::default()
-        })),
-        BackendKind::Hbm => AnyBackend::Hbm(HbmDevice::new(HbmConfig {
-            spec: cfg.mem.spec,
-            mapping: cfg.mem.mapping,
-            dram: cfg.mem.dram,
-            num_ports: cfg.host.links.num_links() as usize,
-            ..HbmConfig::default()
-        })),
+        BackendKind::Ddr3_1600 => {
+            let mut ddr = DdrConfig::ddr3_1600();
+            ddr.ports.num_ports = cfg.host.links.num_links() as usize;
+            AnyBackend::Ddr(DdrDevice::new(ddr))
+        }
+        BackendKind::Hbm => {
+            let mut hbm = HbmConfig {
+                spec: cfg.mem.spec,
+                mapping: cfg.mem.mapping,
+                dram: cfg.mem.dram,
+                ..HbmConfig::default()
+            };
+            hbm.ports.num_ports = cfg.host.links.num_links() as usize;
+            AnyBackend::Hbm(HbmDevice::new(hbm))
+        }
     }
 }
 

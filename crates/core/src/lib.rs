@@ -64,7 +64,6 @@ pub use system::{System, SystemConfig};
 pub use topology::{Arrangement, ChainSystem, RecoveryRecord, Topology};
 
 // Re-export the substrate crates so downstream users need only hmc-core.
-pub use ddr_baseline;
 pub use hmc_host;
 pub use hmc_mem;
 pub use hmc_power;

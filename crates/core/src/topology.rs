@@ -264,24 +264,6 @@ fn earliest(a: Option<Time>, b: Option<Time>) -> Option<Time> {
     }
 }
 
-/// Rebuilds the response record an [`OutPacket`] carries, stamped at `now`
-/// (the host's RX path overwrites `completed_at` on delivery).
-fn response_from(pkt: &OutPacket, now: Time) -> MemoryResponse {
-    MemoryResponse {
-        id: pkt.req.id,
-        port: pkt.req.port,
-        tag: pkt.req.tag,
-        op: pkt.req.op,
-        size: pkt.req.size,
-        cube: pkt.req.cube,
-        addr: pkt.req.addr,
-        issued_at: pkt.req.issued_at,
-        completed_at: now,
-        data_token: pkt.token,
-        tenant: pkt.req.tenant,
-    }
-}
-
 /// Repacks a device response for another hop of egress forwarding.
 fn repack(resp: &MemoryResponse) -> OutPacket {
     OutPacket {
@@ -914,7 +896,8 @@ impl<B: MemoryBackend> CubeShard<B> {
         if owner == self.idx || owner >= self.topo.cubes() as usize {
             // `at` is the previous hop's serialized arrival instant, so
             // the host's RX rebase leaves no unattributed gap.
-            self.host.receive_response(response_from(&pkt, at), at);
+            self.host
+                .receive_response(pkt.req.respond(at, pkt.token), at);
             return;
         }
         let next = self.topo.next_shard(self.idx, owner);

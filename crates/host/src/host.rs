@@ -1219,19 +1219,7 @@ impl Host {
         };
         let _ = self.nodes[entry.node].remove_by_id(id);
         self.robust_stats.abandoned += 1;
-        let resp = MemoryResponse {
-            id: entry.req.id,
-            port: entry.req.port,
-            tag: entry.req.tag,
-            op: entry.req.op,
-            size: entry.req.size,
-            cube: entry.req.cube,
-            addr: entry.req.addr,
-            issued_at: entry.req.issued_at,
-            completed_at: now,
-            data_token: 0,
-            tenant: entry.req.tenant,
-        };
+        let resp = entry.req.respond(now, 0);
         self.complete(resp, now);
     }
 

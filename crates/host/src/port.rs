@@ -86,7 +86,16 @@ pub struct GupsPort {
 
 impl GupsPort {
     /// Creates an idle port with a full tag pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tag_pool_depth` is 0 (every read would wait for a tag
+    /// forever) or does not fit a `u16` tag.
     pub fn new(id: PortId, tag_pool_depth: usize, capacity: u64, seed: u64) -> Self {
+        assert!(
+            tag_pool_depth > 0,
+            "tag_pool_depth must be at least 1: a port without tags never issues a read"
+        );
         GupsPort {
             id,
             generator: Generator::Idle,
@@ -395,6 +404,12 @@ mod tests {
 
     fn port() -> GupsPort {
         GupsPort::new(PortId::new(0), 64, 4 << 30, 1)
+    }
+
+    #[test]
+    #[should_panic(expected = "tag_pool_depth")]
+    fn empty_tag_pool_is_refused() {
+        let _ = GupsPort::new(PortId::new(0), 0, 4 << 30, 1);
     }
 
     fn respond(req: &MemoryRequest, lat_ns: u64) -> MemoryResponse {

@@ -4,17 +4,17 @@
 //! reach *down*:
 //!
 //! ```text
-//! layer 0  types                           (vocabulary)
-//! layer 1  engine                          (DES kernel)
-//! layer 2  backend                         (the MemoryBackend trait)
-//! layer 3  mem  host  thermal  power  ddr  (device models)
-//! layer 4  core                            (assembled systems)
-//! layer 5  bench                           (harnesses, CLI)
+//! layer 0  types                      (vocabulary)
+//! layer 1  engine                     (DES kernel)
+//! layer 2  backend                    (the MemoryBackend trait)
+//! layer 3  mem  host  thermal  power  (device models)
+//! layer 4  core                       (assembled systems)
+//! layer 5  bench                      (harnesses, CLI)
 //! ```
 //!
-//! `ddr-baseline` sits in the model layer (not beside `core` as a peer)
-//! because the characterization harness in `core` compares the HMC
-//! model against it; it depends on nothing above `engine`.
+//! `mem` holds every memory technology the characterization harness in
+//! `core` compares: the HMC device and the HBM and DDR3 channel-array
+//! devices.
 //!
 //! The rule is enforced twice, so neither half can drift alone:
 //!
@@ -107,19 +107,12 @@ pub const LAYERS: &[LayerSpec] = &[
         allowed: &["types", "engine"],
     },
     LayerSpec {
-        dir: "ddr",
-        package: "ddr-baseline",
-        ident: "ddr_baseline",
-        layer: 3,
-        allowed: &["types", "engine", "backend"],
-    },
-    LayerSpec {
         dir: "core",
         package: "hmc-core",
         ident: "hmc_core",
         layer: 4,
         allowed: &[
-            "types", "engine", "backend", "mem", "host", "thermal", "power", "ddr",
+            "types", "engine", "backend", "mem", "host", "thermal", "power",
         ],
     },
     LayerSpec {

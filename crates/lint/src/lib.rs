@@ -68,11 +68,10 @@ pub mod sarif;
 pub use rules::{sanctioned_scheduler, AllowPolicy, RuleMeta, RuleScope, FLOAT_TIME_WINDOW, RULES};
 
 /// The crates whose `src/` trees get the full simulation rule set:
-/// every crate that feeds sim-time state, which since the thermal /
-/// power / DDR integrations means all eight model crates.
-pub const SIMULATION_CRATES: [&str; 8] = [
-    "types", "engine", "mem", "host", "core", "thermal", "power", "ddr",
-];
+/// every crate that feeds sim-time state, which since the thermal and
+/// power integrations means all seven model crates.
+pub const SIMULATION_CRATES: [&str; 7] =
+    ["types", "engine", "mem", "host", "core", "thermal", "power"];
 
 /// Tool crates, self-linted with the reduced rule set (no `wall-clock`
 /// / `thread`: they measure simulator throughput by definition). The

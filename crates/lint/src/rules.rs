@@ -131,7 +131,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: "layering",
         summary: "import violates the workspace dependency DAG (types <- engine <- \
-                  {mem, host, thermal, power, ddr} <- core <- bench)",
+                  {mem, host, thermal, power} <- core <- bench)",
         policy: AllowPolicy::Anywhere,
         scope: RuleScope::AllScanned,
     },

@@ -13,18 +13,17 @@
 //! Each pseudo-channel reuses the vault controller machinery
 //! ([`Vault`]): an input FIFO, per-bank queues, and a shared data bus,
 //! with the same closed-page timing discipline the sanitizer's FSM
-//! validates. Requests cross the PHY in FIFO order per port, route to
-//! their pseudo-channel by address bits, and responses cross back with
-//! the same fixed latency.
+//! validates. Requests cross the PHY (the [`ChannelDevice`] front-end
+//! latency) in FIFO order per port, route to their pseudo-channel by
+//! address bits, and responses cross back with the same fixed latency.
 
-use hmc_types::packet::OpKind;
 use hmc_types::{
-    AddressMapping, HmcSpec, HmcVersion, MemoryRequest, MemoryResponse, Time, TimeDelta,
+    AddressMapping, DramTimingFloor, HmcSpec, HmcVersion, MemoryRequest, Time, TimeDelta,
 };
-use mem_backend::{AddressLayout, BackendOutput, CoreStats, MemoryBackend};
-use sim_engine::{BoundedQueue, EventQueue, IdTable, MetricsSampler, Sanitizer, Tracer};
+use mem_backend::AddressLayout;
 
-use crate::config::{DramTiming, MemConfig, PagePolicy, RefreshConfig, VaultConfig};
+use crate::channels::{ChannelDevice, Channels, FrontEnd, PortConfig};
+use crate::config::{DramTiming, MemConfig, RefreshConfig, VaultConfig};
 use crate::vault::Vault;
 
 /// Configuration of the HBM-style backend.
@@ -36,23 +35,17 @@ pub struct HbmConfig {
     pub spec: HmcSpec,
     /// Address bit-field layout (shared with the host's generators).
     pub mapping: AddressMapping,
-    /// Per-bank DRAM timing (the stacked-DRAM timing class).
+    /// Per-bank DRAM timing (the stacked-DRAM timing class), run
+    /// closed-page like the HMC model.
     pub dram: DramTiming,
-    /// Page policy (closed-page by default, like the HMC model).
-    pub page_policy: PagePolicy,
     /// Per-pseudo-channel controller queue depths.
     pub vault: VaultConfig,
     /// Per-channel refresh cadence.
     pub refresh: RefreshConfig,
-    /// Host-facing ports. Wide parallel AXI-style ports, not SerDes
-    /// links; the count mirrors the host's link arrangement.
-    pub num_ports: usize,
-    /// Request slots per port (the credit window the host sees).
-    pub port_queue_depth: usize,
-    /// One-way PHY/interposer crossing latency, paid once per request
-    /// and once per response — the whole link-layer cost of this
-    /// technology.
-    pub phy_latency: TimeDelta,
+    /// Wide parallel AXI-style ports, not SerDes links. Their latency is
+    /// the one-way PHY/interposer crossing, paid once per request and
+    /// once per response — the whole link-layer cost of this technology.
+    pub ports: PortConfig,
 }
 
 impl Default for HbmConfig {
@@ -62,118 +55,65 @@ impl Default for HbmConfig {
             spec: HmcSpec::of(HmcVersion::Hmc2),
             mapping: mem.mapping,
             dram: mem.dram,
-            page_policy: PagePolicy::ClosedPage,
             vault: mem.vault,
             refresh: mem.refresh,
-            num_ports: 2,
-            port_queue_depth: 32,
-            phy_latency: TimeDelta::from_ns(10),
+            ports: PortConfig {
+                num_ports: 2,
+                port_queue_depth: 32,
+                latency: TimeDelta::from_ns(10),
+            },
         }
     }
 }
 
-#[derive(Debug, Clone)]
-enum HbmEvent {
-    /// A request finished crossing the PHY on `port` and is eligible to
-    /// route to its pseudo-channel.
-    Arrive { port: usize },
-    /// A pseudo-channel's earliest busy bank frees up.
-    Wake { channel: u16, seq: u64 },
-    /// Per-channel refresh tick.
-    Refresh { channel: u16 },
-    /// A response finished crossing the PHY back toward the host.
-    Return { port: usize, resp: MemoryResponse },
-}
-
 /// The HBM-style device: 32 pseudo-channels, fixed-latency PHY, no
-/// SerDes. Drive it through the [`MemoryBackend`] trait.
+/// SerDes. Drive it through the [`MemoryBackend`](mem_backend::MemoryBackend) trait.
+pub type HbmDevice = ChannelDevice<HbmChannels>;
+
+/// HBM's bank model: closed-page pseudo-channels with refresh, each
+/// woken as one unit.
 #[derive(Debug)]
-pub struct HbmDevice {
+pub struct HbmChannels {
     cfg: HbmConfig,
-    /// Per-port ingress FIFO (the credit pool).
-    ports: Vec<BoundedQueue<MemoryRequest>>,
-    /// Per-port count of queued requests that already crossed the PHY.
-    eligible: Vec<usize>,
     channels: Vec<Vault>,
-    /// Port each in-flight request arrived on (response routing).
-    arrival_port: IdTable<usize>,
-    wake_at: Vec<Option<Time>>,
-    wake_seq: Vec<u64>,
-    events: EventQueue<HbmEvent>,
-    event_bound: usize,
-    refresh_multiplier: u32,
-    data_read_bytes: u64,
-    data_write_bytes: u64,
-    now: Time,
-    tracer: Tracer,
-    sanitizer: Sanitizer,
 }
 
-impl HbmDevice {
-    /// Builds an idle device from its configuration.
-    pub fn new(cfg: HbmConfig) -> Self {
-        let n = cfg.spec.num_vaults() as usize;
-        // The vault controller reads geometry, mapping, timing, policy,
-        // and queue depths out of a MemConfig; build one carrying the
-        // HBM parameters so each pseudo-channel sees them.
+impl Channels for HbmChannels {
+    type Config = HbmConfig;
+    const LABEL: &'static str = "hbm";
+
+    fn new(cfg: HbmConfig) -> Self {
+        // The vault controller reads geometry, mapping, timing and
+        // queue depths out of a MemConfig; build one carrying the HBM
+        // parameters so each pseudo-channel sees them.
         let mem = MemConfig {
             spec: cfg.spec,
             mapping: cfg.mapping,
             dram: cfg.dram,
-            page_policy: cfg.page_policy,
             vault: cfg.vault,
             ..MemConfig::default()
         };
-        let channels: Vec<Vault> = (0..n)
+        let channels = (0..cfg.spec.num_vaults())
             .map(|c| Vault::new(u16::try_from(c).expect("channel index fits u16"), &mem))
             .collect();
-        let mut events = EventQueue::with_capacity(1024);
-        if cfg.refresh.enabled {
-            let step = cfg.refresh.interval / n as u64;
-            for c in 0..n {
-                events.push(
-                    Time::ZERO + step * (c as u64 + 1),
-                    HbmEvent::Refresh {
-                        channel: u16::try_from(c).expect("channel index fits u16"),
-                    },
-                );
-            }
-        }
-        // Structural ceiling on pending events: one arrival per port
-        // slot, one return per bank-queue entry, one wake + one refresh
-        // per channel, with slack.
-        let event_bound = cfg.num_ports * cfg.port_queue_depth
-            + n * (cfg.vault.input_fifo_depth
-                + cfg.spec.banks_per_vault() as usize * cfg.vault.bank_queue_depth)
-            + 2 * n
-            + 64;
-        HbmDevice {
-            ports: (0..cfg.num_ports)
-                .map(|_| BoundedQueue::new(cfg.port_queue_depth))
-                .collect(),
-            eligible: vec![0; cfg.num_ports],
-            cfg,
-            channels,
-            arrival_port: IdTable::new(),
-            wake_at: vec![None; n],
-            wake_seq: vec![0; n],
-            events,
-            event_bound,
-            refresh_multiplier: 1,
-            data_read_bytes: 0,
-            data_write_bytes: 0,
-            now: Time::ZERO,
-            tracer: Tracer::new(&hmc_types::trace::Stage::NAMES),
-            sanitizer: Sanitizer::new(),
-        }
+        HbmChannels { cfg, channels }
     }
 
-    /// The device configuration.
-    pub fn config(&self) -> &HbmConfig {
-        &self.cfg
+    fn ports(&self) -> PortConfig {
+        self.cfg.ports
     }
 
-    fn channel_of(&self, req: &MemoryRequest) -> usize {
+    fn units(&self) -> usize {
+        self.channels.len()
+    }
+
+    fn capacity(&self) -> usize {
+        let banks = self.cfg.spec.banks_per_vault() as usize;
+        let per_channel = self.cfg.vault.input_fifo_depth + banks * self.cfg.vault.bank_queue_depth;
+        self.channels.len() * per_channel
+    }
+
+    fn unit_of(&self, req: &MemoryRequest) -> usize {
         self.cfg
             .mapping
             .decode(req.addr, &self.cfg.spec)
@@ -181,237 +121,69 @@ impl HbmDevice {
             .index() as usize
     }
 
-    /// Moves PHY-crossed requests from port FIFO heads into their
-    /// pseudo-channel input FIFOs (head-of-line blocking per port).
-    fn route_port(&mut self, port: usize, now: Time, out: &mut [BackendOutput]) {
-        while self.eligible[port] > 0 {
-            let Some(req) = self.ports[port].front().copied() else {
-                break;
-            };
-            let c = self.channel_of(&req);
-            if !self.channels[c].has_input_space() {
-                break;
-            }
-            let req = self.ports[port].pop(now).expect("front() was Some");
-            self.eligible[port] -= 1;
-            self.sanitizer.credit_release(port, now);
-            self.channels[c]
-                .accept(req, now)
-                .expect("checked for space");
-            self.arrival_port.insert(req.id.value(), port);
-            self.pump_channel(c, now, out);
-        }
+    fn has_space(&self, c: usize) -> bool {
+        self.channels[c].has_input_space()
     }
 
-    /// Drains a pseudo-channel's queues, starts every ready bank,
-    /// schedules the response PHY crossings, and re-arms the wake.
-    fn pump_channel(&mut self, c: usize, now: Time, _out: &mut [BackendOutput]) {
+    fn accept(&mut self, c: usize, req: MemoryRequest, now: Time) {
+        self.channels[c]
+            .accept(req, now)
+            .expect("checked for space");
+    }
+
+    fn next_ready(&self, c: usize) -> Option<Time> {
+        if self.channels[c].queued() == 0 {
+            return None;
+        }
+        self.channels[c].next_bank_ready()
+    }
+
+    /// Drains the channel's input FIFO and starts every ready bank; the
+    /// responses cross the PHY back. Returns the input slots drained.
+    fn start(&mut self, fe: &mut FrontEnd, c: usize, now: Time) -> usize {
         let mut freed = 0;
         let mut started = Vec::new();
         loop {
             let moved = self.channels[c].drain_input(now);
             freed += moved;
             let before = started.len();
-            self.channels[c].start_ready_checked(now, &mut started, &mut self.sanitizer);
+            self.channels[c].start_ready_checked(now, &mut started, &mut fe.sanitizer);
             if moved == 0 && started.len() == before {
                 break;
             }
         }
         for op in started {
-            match op.req.op {
-                OpKind::Read => self.data_read_bytes += op.req.size.bytes(),
-                OpKind::Write => self.data_write_bytes += op.req.size.bytes(),
-            }
-            let port = self
-                .arrival_port
-                .remove(op.req.id.value())
-                .expect("every routed request recorded its port");
-            let resp = MemoryResponse {
-                id: op.req.id,
-                port: op.req.port,
-                tag: op.req.tag,
-                op: op.req.op,
-                size: op.req.size,
-                cube: op.req.cube,
-                addr: op.req.addr,
-                issued_at: op.req.issued_at,
-                completed_at: op.response_at,
-                data_token: op.req.data_token,
-                tenant: op.req.tenant,
-            };
-            self.events.push(
-                op.response_at + self.cfg.phy_latency,
-                HbmEvent::Return { port, resp },
-            );
+            fe.start(op.req, op.response_at + fe.latency);
         }
-        if freed > 0 {
-            // Freed input slots may unblock any port's head.
-            for p in 0..self.ports.len() {
-                self.retry_port(p, now);
-            }
-        }
-        self.arm_wake(c, now);
+        freed
     }
 
-    /// Re-checks a port whose head may have been blocked on a full
-    /// channel FIFO. Split from [`route_port`] to keep the re-entry
-    /// out of `pump_channel`'s recursion (freed slots only move FIFO
-    /// heads; any bank starts they enable come on the next wake).
-    fn retry_port(&mut self, port: usize, now: Time) {
-        while self.eligible[port] > 0 {
-            let Some(req) = self.ports[port].front().copied() else {
-                break;
-            };
-            let c = self.channel_of(&req);
-            if !self.channels[c].has_input_space() {
-                break;
+    fn on_arrival(&mut self, fe: &mut FrontEnd, c: usize, now: Time) {
+        fe.pump(self, c, now);
+    }
+
+    fn refresh(&mut self, fe: &mut FrontEnd, c: usize, now: Time) {
+        self.channels[c].hold_all(now + self.cfg.refresh.duration);
+        let interval = self.cfg.refresh.interval / u64::from(fe.refresh_multiplier);
+        fe.refresh_at(now + interval, c);
+        fe.arm(self, c, now);
+    }
+
+    fn schedule_refresh(&self, fe: &mut FrontEnd, from: Time) {
+        if self.cfg.refresh.enabled {
+            let step = self.cfg.refresh.interval / self.channels.len() as u64;
+            for c in 0..self.channels.len() {
+                fe.refresh_at(from + step * (c as u64 + 1), c);
             }
-            let req = self.ports[port].pop(now).expect("front() was Some");
-            self.eligible[port] -= 1;
-            self.sanitizer.credit_release(port, now);
-            self.channels[c]
-                .accept(req, now)
-                .expect("checked for space");
-            self.arrival_port.insert(req.id.value(), port);
-            self.arm_wake(c, now);
         }
     }
 
-    /// Arms a channel's single live dispatch opportunity (same
-    /// supersede-by-sequence discipline as the HMC device).
-    fn arm_wake(&mut self, c: usize, now: Time) {
-        if self.channels[c].queued() == 0 {
-            return;
-        }
-        let Some(t) = self.channels[c].next_bank_ready() else {
-            return;
-        };
-        let t = t.max(now + TimeDelta::from_ps(1));
-        if let Some(w) = self.wake_at[c] {
-            if w <= t {
-                return;
-            }
-        }
-        self.wake_seq[c] += 1;
-        self.wake_at[c] = Some(t);
-        self.events.push(
-            t,
-            HbmEvent::Wake {
-                channel: u16::try_from(c).expect("channel index fits u16"),
-                seq: self.wake_seq[c],
-            },
-        );
+    fn queued(&self) -> usize {
+        self.channels.iter().map(Vault::queued).sum()
     }
 
-    fn handle(&mut self, ev: HbmEvent, now: Time, out: &mut Vec<BackendOutput>) {
-        match ev {
-            HbmEvent::Arrive { port } => {
-                self.eligible[port] += 1;
-                self.route_port(port, now, out);
-            }
-            HbmEvent::Wake { channel, seq } => {
-                let c = channel as usize;
-                if seq != self.wake_seq[c] {
-                    return; // superseded
-                }
-                self.wake_at[c] = None;
-                self.pump_channel(c, now, out);
-            }
-            HbmEvent::Refresh { channel } => {
-                let c = channel as usize;
-                self.channels[c].hold_all(now + self.cfg.refresh.duration);
-                let next = now + self.cfg.refresh.interval / u64::from(self.refresh_multiplier);
-                self.events.push(next, HbmEvent::Refresh { channel });
-                self.arm_wake(c, now);
-            }
-            HbmEvent::Return { port, resp } => {
-                out.push(BackendOutput {
-                    resp: MemoryResponse {
-                        completed_at: now,
-                        ..resp
-                    },
-                    link: port,
-                    at: now,
-                });
-            }
-        }
-    }
-}
-
-impl MemoryBackend for HbmDevice {
-    fn label(&self) -> &'static str {
-        "hbm"
-    }
-
-    fn num_links(&self) -> usize {
-        self.ports.len()
-    }
-
-    fn address_layout(&self) -> AddressLayout {
-        // The pseudo-channel field occupies the mapping's vault bits —
-        // same bits the host's generators interleave on.
-        let mut l =
-            AddressLayout::of_mapping("hbm-pseudo-channel", self.cfg.mapping, &self.cfg.spec);
-        let vault = l.get("vault").expect("of_mapping defines vault");
-        l = AddressLayout::new("hbm-pseudo-channel")
-            .field("vault", vault.shift, vault.width)
-            .field("channel", vault.shift, vault.width)
-            .field(
-                "bank",
-                self.cfg.mapping.bank_shift(&self.cfg.spec),
-                self.cfg.spec.bank_bits(),
-            )
-            .field(
-                "row",
-                self.cfg.mapping.row_shift(&self.cfg.spec),
-                64 - self.cfg.mapping.row_shift(&self.cfg.spec),
-            );
-        l
-    }
-
-    fn free_slots(&self, link: usize) -> usize {
-        self.ports[link].free()
-    }
-
-    fn submit(&mut self, link: usize, req: MemoryRequest, now: Time) -> Result<(), MemoryRequest> {
-        debug_assert!(now >= self.now, "submit in the past");
-        self.ports[link].try_push(req, now)?;
-        self.sanitizer.credit_acquire(link, now);
-        self.events
-            .push(now + self.cfg.phy_latency, HbmEvent::Arrive { port: link });
-        Ok(())
-    }
-
-    fn next_time(&self) -> Option<Time> {
-        self.events.peek_time()
-    }
-
-    fn now(&self) -> Time {
-        self.now
-    }
-
-    fn pending_events(&self) -> usize {
-        self.events.len()
-    }
-
-    fn advance(&mut self, until: Time, out: &mut Vec<BackendOutput>) {
-        self.sanitizer
-            .check_queue_bound("hbm events", self.events.len(), self.event_bound, until);
-        while let Some((t, ev)) = self.events.pop_before(until) {
-            self.sanitizer.check_event_time(t);
-            self.now = self.now.max(t);
-            self.handle(ev, t, out);
-        }
-        self.now = self.now.max(until);
-    }
-
-    fn events_processed(&self) -> u64 {
-        self.events.total_popped()
-    }
-
-    fn total_queued(&self) -> usize {
-        self.ports.iter().map(BoundedQueue::len).sum::<usize>()
-            + self.channels.iter().map(Vault::queued).sum::<usize>()
+    fn busy_banks(&self, now: Time) -> usize {
+        self.channels.iter().map(|c| c.busy_banks(now)).sum()
     }
 
     fn channels_in_flight(&self, now: Time) -> usize {
@@ -421,127 +193,51 @@ impl MemoryBackend for HbmDevice {
             .count()
     }
 
-    fn core_stats(&self) -> CoreStats {
-        let reads: u64 = self.channels.iter().map(|c| c.stats().reads).sum();
-        let writes: u64 = self.channels.iter().map(|c| c.stats().writes).sum();
-        CoreStats {
-            reads_completed: reads,
-            writes_completed: writes,
-            data_read_bytes: self.data_read_bytes,
-            data_write_bytes: self.data_write_bytes,
-            // No packetization: wire traffic is the payload itself.
-            bytes_up: self.data_write_bytes,
-            bytes_down: self.data_read_bytes,
-        }
+    fn timing_floor(&self) -> Option<DramTimingFloor> {
+        Some(self.cfg.spec.timing_floor())
     }
 
-    fn sample_metrics(&self, at: Time, s: &mut MetricsSampler) {
-        s.record("device.vault_queued", at, self.total_queued() as f64);
-        let busy: usize = self.channels.iter().map(|c| c.busy_banks(at)).sum();
-        s.record("device.busy_banks", at, busy as f64);
-        s.record(
-            "device.channels_in_flight",
-            at,
-            self.channels_in_flight(at) as f64,
-        );
-        let credits: usize = self.ports.iter().map(BoundedQueue::free).sum();
-        s.record("device.ingress_credits", at, credits as f64);
+    fn address_layout(&self) -> AddressLayout {
+        // The pseudo-channel field occupies the mapping's vault bits —
+        // the same bits the host's generators interleave on.
+        let (mapping, spec) = (self.cfg.mapping, &self.cfg.spec);
+        let (shift, width) = (mapping.vault_shift_for(spec), spec.vault_bits());
+        let row = mapping.row_shift(spec);
+        AddressLayout::new("hbm-pseudo-channel")
+            .field("vault", shift, width)
+            .field("channel", shift, width)
+            .field("bank", mapping.bank_shift(spec), spec.bank_bits())
+            .field("row", row, 64 - row)
     }
 
-    fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
-    }
-
-    fn enable_sanitizer(&mut self) {
-        let floor = match self.cfg.page_policy {
-            PagePolicy::ClosedPage => Some(self.cfg.spec.timing_floor()),
-            PagePolicy::OpenPage => None,
-        };
-        self.sanitizer.enable(floor);
-        let pools = vec![self.cfg.port_queue_depth; self.ports.len()];
-        self.sanitizer.set_credit_pools(&pools);
-    }
-
-    fn sanitizer(&self) -> &Sanitizer {
-        &self.sanitizer
-    }
-
-    fn sanitizer_mut(&mut self) -> &mut Sanitizer {
-        &mut self.sanitizer
-    }
-
-    fn diagnostic_dump(&self, at: Time) -> String {
+    fn dump_units(&self, at: Time, s: &mut String) {
         use std::fmt::Write as _;
-        let mut s = String::new();
-        writeln!(s, "hbm @ {at}: {} pending events", self.events.len())
-            .expect("writing to a String cannot fail");
-        for (p, q) in self.ports.iter().enumerate() {
-            writeln!(
-                s,
-                "  port {p}: queued={} eligible={}",
-                q.len(),
-                self.eligible[p]
-            )
-            .expect("writing to a String cannot fail");
-        }
         for (c, ch) in self.channels.iter().enumerate() {
-            if ch.queued() == 0 {
-                continue;
-            }
-            writeln!(
-                s,
-                "  channel {c}: queued={} busy_banks={}",
-                ch.queued(),
-                ch.busy_banks(at)
-            )
-            .expect("writing to a String cannot fail");
-        }
-        s
-    }
-
-    fn set_refresh_multiplier(&mut self, m: u32) {
-        self.refresh_multiplier = m.max(1);
-    }
-
-    fn refresh_multiplier(&self) -> u32 {
-        self.refresh_multiplier
-    }
-
-    fn reset_after_shutdown(&mut self, resume: Time) {
-        for c in 0..self.channels.len() {
-            self.channels[c].reset_state(resume);
-        }
-        for q in &mut self.ports {
-            while q.pop(resume).is_some() {}
-        }
-        self.eligible.iter_mut().for_each(|e| *e = 0);
-        self.arrival_port.clear();
-        self.events.clear();
-        self.sanitizer.credit_forget_all();
-        if self.cfg.refresh.enabled {
-            let n = self.channels.len();
-            let step = self.cfg.refresh.interval / n as u64;
-            for c in 0..n {
-                self.events.push(
-                    resume + step * (c as u64 + 1),
-                    HbmEvent::Refresh {
-                        channel: u16::try_from(c).expect("channel index fits u16"),
-                    },
-                );
+            if ch.queued() > 0 {
+                writeln!(
+                    s,
+                    "  channel {c}: queued={} busy_banks={}",
+                    ch.queued(),
+                    ch.busy_banks(at)
+                )
+                .expect("writing to a String cannot fail");
             }
         }
-        self.now = self.now.max(resume);
+    }
+
+    fn reset(&mut self, resume: Time) {
+        for ch in &mut self.channels {
+            ch.reset_state(resume);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hmc_types::packet::OpKind;
     use hmc_types::{Address, CubeId, PortId, RequestId, RequestSize, Tag, TenantTag};
+    use mem_backend::MemoryBackend;
 
     fn req(id: u64, addr: u64, op: OpKind) -> MemoryRequest {
         MemoryRequest {
@@ -561,7 +257,7 @@ mod tests {
     #[test]
     fn thirty_two_pseudo_channels() {
         let dev = HbmDevice::new(HbmConfig::default());
-        assert_eq!(dev.channels.len(), 32);
+        assert_eq!(dev.model.channels.len(), 32);
         assert_eq!(dev.num_links(), 2);
         let layout = dev.address_layout();
         assert_eq!(layout.get("channel").unwrap().width, 5, "2^5 = 32 PCs");
@@ -600,10 +296,8 @@ mod tests {
 
     #[test]
     fn port_credits_bound_admission() {
-        let cfg = HbmConfig {
-            port_queue_depth: 4,
-            ..HbmConfig::default()
-        };
+        let mut cfg = HbmConfig::default();
+        cfg.ports.port_queue_depth = 4;
         let mut dev = HbmDevice::new(cfg);
         assert_eq!(dev.free_slots(0), 4);
         for i in 0..4 {

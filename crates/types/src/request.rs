@@ -128,6 +128,25 @@ impl MemoryRequest {
     pub const fn trace_id(&self) -> crate::trace::TraceId {
         self.id.value()
     }
+
+    /// The response to this request, completed at `completed_at` and
+    /// carrying `data_token`.
+    #[inline]
+    pub const fn respond(&self, completed_at: Time, data_token: u64) -> MemoryResponse {
+        MemoryResponse {
+            id: self.id,
+            port: self.port,
+            tag: self.tag,
+            op: self.op,
+            size: self.size,
+            cube: self.cube,
+            addr: self.addr,
+            issued_at: self.issued_at,
+            completed_at,
+            data_token,
+            tenant: self.tenant,
+        }
+    }
 }
 
 impl fmt::Display for MemoryRequest {
