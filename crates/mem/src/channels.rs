@@ -109,11 +109,11 @@ pub struct FrontEnd {
     wake_seq: Vec<u64>,
     events: EventQueue<Event>,
     /// The front-end latency.
-    pub latency: TimeDelta,
+    pub(crate) latency: TimeDelta,
     /// Refresh speed-up the thermal model asks for.
-    pub refresh_multiplier: u32,
+    pub(crate) refresh_multiplier: u32,
     /// The protocol checker.
-    pub sanitizer: Sanitizer,
+    pub(crate) sanitizer: Sanitizer,
     stats: CoreStats,
 }
 
@@ -148,7 +148,7 @@ impl FrontEnd {
     /// every port, since it may unblock any port's head (re-routing
     /// only arms wakes, which keeps re-entry out of the pump); then the
     /// unit re-arms its own wake.
-    pub fn pump<M: Channels>(&mut self, model: &mut M, unit: usize, now: Time) {
+    pub(crate) fn pump<M: Channels>(&mut self, model: &mut M, unit: usize, now: Time) {
         if model.start(self, unit, now) > 0 {
             for port in 0..self.ports.len() {
                 self.route(model, port, now, false);
@@ -161,7 +161,7 @@ impl FrontEnd {
     /// a later-armed earlier wake supersedes the pending one by
     /// sequence number. A pump leaves every unit with queued work busy
     /// past `now`, so a wake never re-fires within its own instant.
-    pub fn arm<M: Channels>(&mut self, model: &M, unit: usize, now: Time) {
+    pub(crate) fn arm<M: Channels>(&mut self, model: &M, unit: usize, now: Time) {
         let Some(t) = model.next_ready(unit).map(|t| t.max(now)) else {
             return;
         };
@@ -175,13 +175,13 @@ impl FrontEnd {
     }
 
     /// Schedules a refresh tick of `unit` at `at`.
-    pub fn refresh_at(&mut self, at: Time, unit: usize) {
+    pub(crate) fn refresh_at(&mut self, at: Time, unit: usize) {
         self.events.push(at, Event::Refresh { unit });
     }
 
     /// Counts a started access and schedules its response to leave at
     /// `at`.
-    pub fn start(&mut self, req: MemoryRequest, at: Time) {
+    pub(crate) fn start(&mut self, req: MemoryRequest, at: Time) {
         match req.op {
             OpKind::Read => {
                 self.stats.reads_completed += 1;
